@@ -39,6 +39,9 @@ mod cell;
 mod error;
 mod grid;
 mod pmd;
+// Test-only, like qspr-route's: keeps the module out of release builds.
+#[cfg(test)]
+mod proptests;
 mod regular;
 mod search;
 mod spec;
@@ -50,7 +53,7 @@ pub use error::FabricError;
 pub use grid::Fabric;
 pub use pmd::{TechParams, Time};
 pub use regular::RegularFabricSpec;
-pub use search::{SearchEdge, SearchGraph};
+pub use search::{GoalFields, SearchEdge, SearchGraph};
 pub use spec::{FabricInfo, FabricSpec};
 pub use stats::FabricStats;
 pub use topology::{

@@ -12,6 +12,14 @@
 //! junction, the far node and the move count. A search then touches
 //! nothing but two flat arrays.
 //!
+//! The graph also backs the routers' exact lower-bound pruning: a
+//! [`GoalFields`] table holds, per target segment, the empty-fabric
+//! distance from every node to that segment's junction ends. The rows
+//! depend only on the graph and two weights, so the topology owns them
+//! ([`Topology::goal_fields`](crate::Topology::goal_fields)) and every
+//! router over the same fabric — each mapper run, MVFB pass, service
+//! worker and `--jobs` thread — shares one lazily filled copy.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,8 +39,13 @@
 //! }
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex, OnceLock};
+
 use crate::cell::Orientation;
-use crate::topology::{Junction, JunctionId, Segment, SegmentId};
+use crate::pmd::Time;
+use crate::topology::{Junction, JunctionId, Segment, SegmentEnd, SegmentId, Topology};
 
 /// One outgoing edge of a search-graph node: traversing `segment` from
 /// the node's junction to `to_junction`, staying in the node's
@@ -105,6 +118,56 @@ impl SearchGraph {
         &self.edges[start..end]
     }
 
+    /// Empty-fabric distance from every node to the nearest of `goals`:
+    /// each segment edge weighs `moves * t_move` and each turn edge
+    /// `turn_weight`.
+    ///
+    /// The graph is symmetric (every segment edge exists in both
+    /// directions with equal `moves`, and the turn edge is an involution
+    /// with a fixed weight), so this forward Dijkstra seeded at the
+    /// goals yields exact *to*-goal distances, in the `u32` encoding of
+    /// [`GoalFields`].
+    pub(crate) fn goal_distances(
+        &self,
+        goals: impl IntoIterator<Item = usize>,
+        t_move: Time,
+        turn_weight: Time,
+    ) -> Box<[u32]> {
+        let mut dist = vec![Time::MAX; self.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        for node in goals {
+            if dist[node] > 0 {
+                dist[node] = 0;
+                heap.push(Reverse((0, node)));
+            }
+        }
+        while let Some(Reverse((cost, node))) = heap.pop() {
+            if cost > dist[node] {
+                continue;
+            }
+            let turn_node = SearchGraph::turn_of(node);
+            let turn_cost = cost.saturating_add(turn_weight);
+            if turn_cost < dist[turn_node] {
+                dist[turn_node] = turn_cost;
+                heap.push(Reverse((turn_cost, turn_node)));
+            }
+            for edge in self.edges(node) {
+                let next = edge.to_node as usize;
+                let c = cost.saturating_add(u64::from(edge.moves) * t_move);
+                if c < dist[next] {
+                    dist[next] = c;
+                    heap.push(Reverse((c, next)));
+                }
+            }
+        }
+        dist.into_iter()
+            .map(|d| match d {
+                Time::MAX => GoalFields::UNREACHABLE,
+                d => u32::try_from(d).unwrap_or(GoalFields::UNREACHABLE - 1),
+            })
+            .collect()
+    }
+
     /// Builds the graph from a topology's segments and junctions.
     /// Edge order within a node follows the junction's incident-segment
     /// order (N, S, W, E), mirroring the on-the-fly scan it replaces.
@@ -143,6 +206,117 @@ impl SearchGraph {
         SearchGraph { edge_start, edges }
     }
 }
+
+/// One routing metric's goal-distance rows over a topology, one lazily
+/// filled slot per target segment.
+///
+/// Row `dst` holds the empty-fabric distance from every search node to
+/// the junction-attached ends of segment `dst` (in the segment's
+/// orientation): segment edges weigh `moves * t_move`, turn edges
+/// `turn_weight`. [`GoalFields::UNREACHABLE`] marks nodes with no path;
+/// a finite distance too large for `u32` is clamped just below it,
+/// which keeps it a lower bound. Obtain a table from
+/// [`Topology::goal_fields`](crate::Topology::goal_fields); all callers
+/// asking for the same weights get the same table, and each row is
+/// computed at most once however many threads race for it.
+///
+/// # Examples
+///
+/// ```
+/// use qspr_fabric::{Fabric, SegmentId};
+///
+/// let fabric = Fabric::quale_45x85();
+/// let topo = fabric.topology();
+/// let fields = topo.goal_fields(1, 10);
+/// let row = fields.row(topo, SegmentId(0));
+/// assert_eq!(row.len(), topo.search_graph().num_nodes());
+/// assert!(row.contains(&0), "the segment's own end nodes are at distance 0");
+/// assert!(std::ptr::eq(row, topo.goal_fields(1, 10).row(topo, SegmentId(0))));
+/// assert_ne!(row.as_ptr(), topo.goal_fields(1, 0).row(topo, SegmentId(0)).as_ptr());
+/// ```
+#[derive(Debug)]
+pub struct GoalFields {
+    t_move: Time,
+    turn_weight: Time,
+    rows: Box<[OnceLock<Box<[u32]>>]>,
+}
+
+impl GoalFields {
+    /// Row entry of a node from which the target segment is unreachable.
+    pub const UNREACHABLE: u32 = u32::MAX;
+
+    /// The `(t_move, turn_weight)` metric the rows are computed under.
+    fn metric(&self) -> (Time, Time) {
+        (self.t_move, self.turn_weight)
+    }
+
+    /// Distance from every search node to target segment `dst`, filled
+    /// on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` is not the one the table was obtained from
+    /// (detected by segment count) or `dst` does not belong to it.
+    pub fn row(&self, topology: &Topology, dst: SegmentId) -> &[u32] {
+        assert_eq!(
+            self.rows.len(),
+            topology.segments().len(),
+            "goal fields used with a foreign topology"
+        );
+        self.rows[dst.index()].get_or_init(|| {
+            let seg = topology.segment(dst);
+            let goals = seg.ends().into_iter().filter_map(|end| match end {
+                SegmentEnd::Junction(j) => Some(SearchGraph::node(j, seg.orientation())),
+                SegmentEnd::Dead => None,
+            });
+            topology
+                .search_graph()
+                .goal_distances(goals, self.t_move, self.turn_weight)
+        })
+    }
+}
+
+/// The per-topology registry of [`GoalFields`], one table per metric.
+///
+/// A cache of values derived from the topology, so it takes no part in
+/// the topology's equality: every instance compares equal. Clones share
+/// the registry (the topology they hang off is immutable).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct GoalTable {
+    metrics: Arc<Mutex<Vec<Arc<GoalFields>>>>,
+}
+
+impl GoalTable {
+    /// The table for `(t_move, turn_weight)` over `n_segments` targets,
+    /// created empty on first request.
+    pub(crate) fn fields(
+        &self,
+        n_segments: usize,
+        t_move: Time,
+        turn_weight: Time,
+    ) -> Arc<GoalFields> {
+        // Only whole `Arc`s are ever pushed, so a poisoned list is intact.
+        let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(fields) = metrics.iter().find(|f| f.metric() == (t_move, turn_weight)) {
+            return Arc::clone(fields);
+        }
+        let fields = Arc::new(GoalFields {
+            t_move,
+            turn_weight,
+            rows: (0..n_segments).map(|_| OnceLock::new()).collect(),
+        });
+        metrics.push(Arc::clone(&fields));
+        fields
+    }
+}
+
+impl PartialEq for GoalTable {
+    fn eq(&self, _: &GoalTable) -> bool {
+        true
+    }
+}
+
+impl Eq for GoalTable {}
 
 #[cfg(test)]
 mod tests {
@@ -193,6 +367,97 @@ mod tests {
                 assert_eq!(graph.edges(SearchGraph::node(j, orientation)), expected);
             }
         }
+    }
+
+    #[test]
+    fn quale_goal_rows_equal_fresh_dijkstra() {
+        crate::proptests::assert_rows_match_reference(Fabric::quale_45x85().topology());
+    }
+
+    #[test]
+    fn goal_metrics_never_share_a_row() {
+        let fabric = Fabric::quale_45x85();
+        let topo = fabric.topology();
+        let tech = crate::TechParams::date2012();
+        let qspr = topo.goal_fields(tech.t_move, tech.t_turn);
+        let quale = topo.goal_fields(tech.t_move, 0);
+        assert!(!Arc::ptr_eq(&qspr, &quale));
+        assert!(Arc::ptr_eq(
+            &qspr,
+            &topo.goal_fields(tech.t_move, tech.t_turn)
+        ));
+        let mut differing = 0;
+        for i in 0..topo.segments().len() {
+            let (a, b) = (
+                qspr.row(topo, SegmentId(i as u32)),
+                quale.row(topo, SegmentId(i as u32)),
+            );
+            assert_ne!(a.as_ptr(), b.as_ptr());
+            differing += usize::from(a != b);
+        }
+        assert!(differing > 0, "turn weights must show in the rows");
+    }
+
+    #[test]
+    fn concurrent_fills_agree() {
+        // Four threads race to fill every row of a fresh table, each
+        // starting at a different segment; each row is filled once and
+        // every thread reads the same allocation.
+        let fabric = Fabric::quale_45x85();
+        let topo = fabric.topology();
+        let n = topo.segments().len();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let fields = topo.goal_fields(1, 10);
+                        let mut ptrs = vec![0; n];
+                        for k in 0..n {
+                            let i = (k + t * n / 4) % n;
+                            ptrs[i] = fields.row(topo, SegmentId(i as u32)).as_ptr() as usize;
+                        }
+                        ptrs
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|ptrs| ptrs == &seen[0]));
+        let fields = topo.goal_fields(1, 10);
+        for i in 0..n {
+            let dst = SegmentId(i as u32);
+            let seg = topo.segment(dst);
+            let goals = seg
+                .ends()
+                .into_iter()
+                .filter_map(|e| e.junction())
+                .map(|j| SearchGraph::node(j, seg.orientation()));
+            assert_eq!(
+                fields.row(topo, dst),
+                &*topo.search_graph().goal_distances(goals, 1, 10)
+            );
+        }
+    }
+
+    #[test]
+    fn goal_table_leaves_topology_equality_clone_and_debug_alone() {
+        let filled = crate::RegularFabricSpec::new(9, 13, 4).build().unwrap();
+        let fresh = filled.clone();
+        let before = format!("{:?}", filled.topology());
+        let fields = filled.topology().goal_fields(1, 10);
+        for i in 0..filled.topology().segments().len() {
+            fields.row(filled.topology(), SegmentId(i as u32));
+        }
+        assert_eq!(format!("{:?}", filled.topology()), before);
+        assert!(!before.contains("goal"));
+        assert_eq!(filled.topology(), fresh.topology());
+        assert_eq!(filled.topology().clone(), *filled.topology());
+        let rebuilt = crate::RegularFabricSpec::new(9, 13, 4).build().unwrap();
+        assert_eq!(rebuilt.topology(), filled.topology());
+        assert_eq!(format!("{:?}", rebuilt.topology()), before);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! ports.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cell::{Cell, Coord, Orientation};
 use crate::error::FabricError;
-use crate::search::SearchGraph;
+use crate::pmd::Time;
+use crate::search::{GoalFields, GoalTable, SearchGraph};
 
 /// Identifier of a channel [`Segment`] within a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -247,7 +249,7 @@ impl Trap {
 ///
 /// Built eagerly at fabric construction; all mapper stages (placement,
 /// routing, simulation) work on this view rather than raw cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Topology {
     rows: u16,
     cols: u16,
@@ -262,6 +264,27 @@ pub struct Topology {
     segment_caps: Vec<Option<u8>>,
     junction_caps: Vec<Option<u8>>,
     search: SearchGraph,
+    /// Lazily filled goal-distance rows derived from `search`; excluded
+    /// from equality and `Debug`.
+    goal_table: GoalTable,
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("segments", &self.segments)
+            .field("junctions", &self.junctions)
+            .field("traps", &self.traps)
+            .field("junction_at", &self.junction_at)
+            .field("trap_at", &self.trap_at)
+            .field("channel_at", &self.channel_at)
+            .field("segment_caps", &self.segment_caps)
+            .field("junction_caps", &self.junction_caps)
+            .field("search", &self.search)
+            .finish()
+    }
 }
 
 impl Topology {
@@ -333,6 +356,15 @@ impl Topology {
         &self.search
     }
 
+    /// The goal-distance table of the `(t_move, turn_weight)` metric
+    /// (see [`GoalFields`]). Every caller passing the same weights gets
+    /// the same table, so its rows are computed once per fabric rather
+    /// than once per router; different weights never share rows.
+    pub fn goal_fields(&self, t_move: Time, turn_weight: Time) -> Arc<GoalFields> {
+        self.goal_table
+            .fields(self.segments.len(), t_move, turn_weight)
+    }
+
     /// The capacity override of a segment, `None` when it uses the
     /// technology default. Overrides come from a fabric spec's capacity
     /// assignments; a segment spanning several overridden cells takes
@@ -382,7 +414,50 @@ impl Topology {
     /// The trap nearest to `to` (Manhattan metric) among those for which
     /// `candidate` returns `true`. Ties break towards the smaller trap id,
     /// keeping the mapper deterministic.
+    ///
+    /// Searches outward from `to` in diamond rings of growing Manhattan
+    /// radius over the per-cell trap index, so the cost scales with the
+    /// area within the answer's distance rather than with the trap
+    /// count. Within a ring, cells are visited in row-major order;
+    /// trap ids are assigned in that same order, so the first accepted
+    /// trap of the first non-empty ring is the linear scan's answer.
+    /// `to` may lie outside the grid.
     pub fn nearest_trap<F>(&self, to: Coord, mut candidate: F) -> Option<TrapId>
+    where
+        F: FnMut(TrapId) -> bool,
+    {
+        let (rows, cols) = (i32::from(self.rows), i32::from(self.cols));
+        let (tr, tc) = (i32::from(to.row), i32::from(to.col));
+        // Radii whose ring can touch the grid at all.
+        let min_radius = (tr - (rows - 1)).max(0) + (tc - (cols - 1)).max(0);
+        let max_radius = tr.max(rows - 1 - tr) + tc.max(cols - 1 - tc);
+        for radius in min_radius..=max_radius {
+            for r in (tr - radius).max(0)..=(tr + radius).min(rows - 1) {
+                let reach = radius - (r - tr).abs();
+                let row = r as usize * self.cols as usize;
+                // One cell where the ring touches its top or bottom.
+                for c in [tc - reach, tc + reach]
+                    .into_iter()
+                    .take(1 + usize::from(reach > 0))
+                {
+                    if !(0..cols).contains(&c) {
+                        continue;
+                    }
+                    if let Some(id) = self.trap_at[row + c as usize] {
+                        if candidate(id) {
+                            return Some(id);
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The linear-scan [`Topology::nearest_trap`] the ring search
+    /// replaced, kept as the equivalence reference for tests.
+    #[cfg(test)]
+    pub(crate) fn nearest_trap_linear<F>(&self, to: Coord, mut candidate: F) -> Option<TrapId>
     where
         F: FnMut(TrapId) -> bool,
     {
@@ -578,6 +653,7 @@ impl Topology {
             segment_caps,
             junction_caps,
             search,
+            goal_table: GoalTable::default(),
         })
     }
 }

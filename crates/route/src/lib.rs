@@ -49,7 +49,24 @@
 //!   candidate, and full goal junctions / full source or target
 //!   segments short-circuit the search entirely. All exits are chosen
 //!   so the returned plan is byte-identical to a run-to-exhaustion
-//!   search (property-tested against the naive reference).
+//!   search (property-tested against the naive reference);
+//! * within that run, relaxations are pruned by an exact lower bound:
+//!   the empty-fabric distance from each node to the target segment.
+//!   Those distance rows depend only on the fabric and the router's
+//!   metric (`t_move` and the turn weight), so they live on the
+//!   [`Topology`](qspr_fabric::Topology) rather than the router
+//!   ([`qspr_fabric::GoalFields`]): one lazily filled `u32` row per
+//!   target segment and metric, shared through the `Arc<Fabric>` by
+//!   every router — each MVFB pass's mapper run, every `Flow::run`,
+//!   service worker and `--jobs` thread. A row is computed at most
+//!   once per fabric; a `Router` only fetches its metric's table at
+//!   construction.
+//!
+//! Outside the search, the simulator's free-trap lookups
+//! ([`Topology::nearest_trap`](qspr_fabric::Topology::nearest_trap))
+//! walk diamond rings outward from the query point over the per-cell
+//! trap index instead of scanning every trap, with the same
+//! smaller-id tie-break.
 //!
 //! [`NegotiatedRouter`] keeps the same discipline across rip-up
 //! iterations: epoch bookings, touched-resource sets and conflict

@@ -7,11 +7,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use qspr_fabric::{
-    JunctionId, SearchGraph, Segment, SegmentEnd, SegmentId, TechParams, Time, Topology, TrapId,
+    GoalFields, JunctionId, SearchGraph, Segment, SegmentEnd, SegmentId, TechParams, Time,
+    Topology, TrapId,
 };
 
 use crate::plan::{RoutePlan, Step};
@@ -76,9 +77,29 @@ impl RouterConfig {
             junction_capacity: 1,
         }
     }
+
+    /// The weight path search gives a turn: `t_turn` when turn-aware,
+    /// zero for the turn-blind router.
+    pub(crate) fn turn_weight(&self) -> Time {
+        if self.turn_aware {
+            self.t_turn
+        } else {
+            0
+        }
+    }
 }
 
 const INF: u64 = u64::MAX;
+
+/// A [`GoalFields`] row entry as a search cost ([`INF`] when the goal
+/// is unreachable).
+fn lower_bound(h: u32) -> u64 {
+    if h == GoalFields::UNREACHABLE {
+        INF
+    } else {
+        u64::from(h)
+    }
+}
 
 /// Extra congestion context layered over a [`ResourceState`] for one
 /// routing query, used by the negotiated-congestion engine
@@ -218,11 +239,9 @@ pub struct Router<'a> {
     /// allocating. Borrowed only for the duration of one search, never
     /// across calls, so the runtime check can't fail.
     scratch: RefCell<SearchScratch>,
-    /// Per-target-segment empty-fabric distance-to-goal fields backing
-    /// the exact pruning in [`Router::route_with`]. Depends only on the
-    /// topology and the (immutable) config, so entries never
-    /// invalidate.
-    goal_dist: RefCell<HashMap<SegmentId, Arc<[u64]>>>,
+    /// The topology's shared goal-distance rows for this router's metric
+    /// (see [`Router::goal_heuristic`]).
+    goal_fields: Arc<GoalFields>,
     /// Whether queries currently record their resource reads. Kept as a
     /// separate `Cell` so the inactive case costs one branch per weight
     /// lookup instead of a `RefCell` borrow.
@@ -278,7 +297,7 @@ impl<'a> Router<'a> {
             junc_caps,
             history: vec![0; topology.segments().len()],
             scratch: RefCell::new(SearchScratch::new(topology.search_graph().num_nodes())),
-            goal_dist: RefCell::new(HashMap::new()),
+            goal_fields: topology.goal_fields(config.t_move, config.turn_weight()),
             log_active: Cell::new(false),
             read_log: RefCell::new(ReadLogger::default()),
         }
@@ -338,64 +357,20 @@ impl<'a> Router<'a> {
     }
 
     /// Empty-fabric lower-bound cost from every search node to the
-    /// junction-attached ends of target segment `dst`, cached per
-    /// target segment.
+    /// junction-attached ends of target segment `dst`
+    /// ([`GoalFields::UNREACHABLE`] where there is no path).
     ///
     /// Computed with base segment weights (`moves * t_move`), zero
     /// junction tolls and the configured turn weight, which
     /// lower-bounds the true edge costs under every resource state and
     /// overlay: occupancy multipliers and presence/history surcharges
-    /// only ever add cost. The search graph is symmetric (every
-    /// segment edge exists in both directions with equal `moves`, and
-    /// the turn edge is an involution with a fixed weight), so a
-    /// forward Dijkstra seeded at the goal nodes yields exact
-    /// to-goal distances.
-    fn goal_heuristic(&self, dst: SegmentId) -> Arc<[u64]> {
-        if let Some(h) = self.goal_dist.borrow().get(&dst) {
-            return Arc::clone(h);
-        }
-        let topo = self.topology;
-        let graph = topo.search_graph();
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
-        let mut dist = vec![INF; graph.num_nodes()];
-        let mut heap = BinaryHeap::new();
-        let seg = topo.segment(dst);
-        for end in 0..2 {
-            if let SegmentEnd::Junction(j) = seg.ends()[end] {
-                let node = SearchGraph::node(j, seg.orientation());
-                if dist[node] > 0 {
-                    dist[node] = 0;
-                    heap.push(Reverse((0u64, node)));
-                }
-            }
-        }
-        while let Some(Reverse((cost, node))) = heap.pop() {
-            if cost > dist[node] {
-                continue;
-            }
-            let turn_node = SearchGraph::turn_of(node);
-            let turn_cost = cost.saturating_add(turn_weight);
-            if turn_cost < dist[turn_node] {
-                dist[turn_node] = turn_cost;
-                heap.push(Reverse((turn_cost, turn_node)));
-            }
-            for edge in graph.edges(node) {
-                let w = u64::from(edge.moves) * self.config.t_move;
-                let next = edge.to_node as usize;
-                let c = cost.saturating_add(w);
-                if c < dist[next] {
-                    dist[next] = c;
-                    heap.push(Reverse((c, next)));
-                }
-            }
-        }
-        let h: Arc<[u64]> = dist.into();
-        self.goal_dist.borrow_mut().insert(dst, Arc::clone(&h));
-        h
+    /// only ever add cost. The rows depend only on the topology and
+    /// those two weights, so they live on the [`Topology`]
+    /// ([`Topology::goal_fields`]) and are filled once per fabric: every
+    /// router with the same metric — across mapper runs, MVFB passes,
+    /// service workers and threads — reads the same row.
+    fn goal_heuristic(&self, dst: SegmentId) -> &[u32] {
+        self.goal_fields.row(self.topology, dst)
     }
 
     /// The effective capacity of `resource`: the fabric's per-resource
@@ -511,11 +486,7 @@ impl<'a> Router<'a> {
             }
         }
 
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
+        let turn_weight = self.config.turn_weight();
         while let Some(Reverse((cost, node))) = scratch.heap.pop() {
             if cost > scratch.dist(node) {
                 continue;
@@ -554,13 +525,14 @@ impl<'a> Router<'a> {
                 .max()
                 .unwrap_or(INF);
             let prune = |f: u64| f > bound || best_direct.is_some_and(|bd| f >= bd);
-            if prune(cost.saturating_add(h[node])) {
+            if prune(cost.saturating_add(lower_bound(h[node]))) {
                 continue;
             }
             // Turn edge within the junction.
             let turn_node = SearchGraph::turn_of(node);
             let turn_cost = cost.saturating_add(turn_weight);
-            if turn_cost < scratch.dist(turn_node) && !prune(turn_cost.saturating_add(h[turn_node]))
+            if turn_cost < scratch.dist(turn_node)
+                && !prune(turn_cost.saturating_add(lower_bound(h[turn_node])))
             {
                 scratch.set(turn_node, turn_cost, Prev::Turn { from: node });
                 scratch.heap.push(Reverse((turn_cost, turn_node)));
@@ -575,7 +547,9 @@ impl<'a> Router<'a> {
                 };
                 let next = edge.to_node as usize;
                 let next_cost = cost.saturating_add(w).saturating_add(toll2);
-                if next_cost < scratch.dist(next) && !prune(next_cost.saturating_add(h[next])) {
+                if next_cost < scratch.dist(next)
+                    && !prune(next_cost.saturating_add(lower_bound(h[next])))
+                {
                     scratch.set(
                         next,
                         next_cost,
@@ -675,11 +649,7 @@ impl<'a> Router<'a> {
             }
         }
 
-        let turn_weight = if self.config.turn_aware {
-            self.config.t_turn
-        } else {
-            0
-        };
+        let turn_weight = self.config.turn_weight();
         while let Some(Reverse((cost, node))) = heap.pop() {
             if cost > dist[node] {
                 continue;
@@ -1050,6 +1020,35 @@ mod tests {
             }
         }
         assert_eq!(pos, topo.trap(plan.to_trap()).coord());
+    }
+
+    #[test]
+    fn routers_over_one_topology_fill_each_goal_row_once() {
+        let f = quale_fabric();
+        let topo = f.topology();
+        let tech = TechParams::date2012();
+        let first = qspr_router(topo);
+        let dst = topo.trap(TrapId(40)).port().segment;
+        let row = first.goal_heuristic(dst);
+        // A router built later — as every mapper run builds its own —
+        // reads the row the first one filled instead of recomputing it.
+        let second = qspr_router(topo);
+        assert!(std::ptr::eq(row, second.goal_heuristic(dst)));
+        assert!(std::ptr::eq(row, first.clone().goal_heuristic(dst)));
+        // The turn-blind metric keeps rows of its own.
+        let quale = Router::new(topo, RouterConfig::quale(&tech));
+        assert_ne!(row.as_ptr(), quale.goal_heuristic(dst).as_ptr());
+        // Routes are unaffected by which router filled the row.
+        let state = ResourceState::new(topo);
+        let (from, to) = (TrapId(3), TrapId(40));
+        assert_eq!(
+            first.route(&state, from, to),
+            second.route(&state, from, to)
+        );
+        assert_eq!(
+            second.route(&state, from, to),
+            second.route_naive(&state, from, to, None)
+        );
     }
 
     #[test]

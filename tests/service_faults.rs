@@ -17,6 +17,7 @@ use qspr::service::{http, MapService, ServeConfig, Server, ServerHandle};
 use qspr_fabric::Fabric;
 
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
+const VICTIM: &str = "QUBIT a\nQUBIT b\nQUBIT c\nH a\nC-X a,b\nC-X b,c\n";
 
 fn spawn_server(threads: usize, keep_alive_secs: u64) -> ServerHandle {
     let service = Arc::new(MapService::new(Fabric::quale_45x85(), 32));
@@ -134,7 +135,10 @@ fn mid_request_disconnects_never_wedge_the_pool() {
                 .write_all(b"POST /map HTTP/1.1\r\nContent-Length: 50\r\n\r\n")
                 .expect("write"),
             _ => {
-                let body = format!("{{\"program\":{BELL:?},\"m\":2}}");
+                // A different program from the one mapped below: a
+                // victim's mapping may still be in flight when `cold`
+                // arrives, and must not be what `cold` or `warm` read.
+                let body = format!("{{\"program\":{VICTIM:?},\"m\":2}}");
                 victim
                     .write_all(
                         format!(
