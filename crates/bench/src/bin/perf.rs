@@ -24,9 +24,11 @@
 //! * `fabric`, `quick` — workload provenance;
 //! * `engines[]` — per engine (`greedy`, `negotiated`):
 //!   * `suite_wall_ms` — total wall-clock of mapping the whole suite;
-//!   * `jobs1_wall_us` / `jobs4_wall_us` — the threads axis: the same
-//!     suite swept under `--jobs 1` and `--jobs 4` (min of N sweeps);
-//!     the harness asserts jobs=4 never loses to jobs=1 beyond noise;
+//!   * `jobs1_wall_us` / `jobs4_wall_us` — the threads axis: the suite
+//!     run through `Flow::run` (MVFB with `jobs_m` seeds, where `--jobs`
+//!     applies) under `--jobs 1` and `--jobs 4` (min of N sweeps); the
+//!     harness asserts jobs=4 never loses to jobs=1 beyond noise and
+//!     that both give the same latencies;
 //!   * `results[]` — per circuit: `latency_us`, `wall_us`, and the
 //!     engine's cumulative `epochs` / `rip_iterations` /
 //!     `ripped_routes` / `max_segment_pressure`.
@@ -72,6 +74,9 @@ fn main() {
     let tech = TechParams::date2012();
     let flow = Flow::on(wb.fabric).tech(tech);
     let policy = MapperPolicy::qspr(&tech);
+    // MVFB seeds for the threads axis: the paper's m = 25, or a small
+    // m under --quick.
+    let jobs_m = if quick { 4 } else { 25 };
 
     let mut engines = JsonArray::new();
     println!(
@@ -119,35 +124,46 @@ fn main() {
             );
         }
         let suite_wall_ms = suite_start.elapsed().as_millis() as u64;
-        // Threads axis: the whole suite swept again under --jobs 1 and
-        // --jobs 4 (min of N sweeps to damp scheduler noise). Results
-        // are byte-identical by contract, so only the wall moves; on a
-        // many-core host jobs=4 should win, and on any host it must
-        // not lose beyond noise — the parallel layers degrade to the
-        // sequential path when cores are scarce, so the margin below
-        // is generous (1.5x plus absolute slop for sub-ms suites).
+        // Threads axis: the whole suite swept again through `Flow::run`
+        // — MVFB placement, whose seeds are what `--jobs` parallelizes
+        // — under --jobs 1 and --jobs 4 (min of N sweeps to damp
+        // scheduler noise). Results are byte-identical by contract, so
+        // only the wall moves; on a multi-core host jobs=4 should win,
+        // and on any host it must not lose beyond noise (the mapper
+        // clamps the grant to the host's cores, so the margin below
+        // is generous: 1.5x plus absolute slop for short suites).
         let sweeps = if quick { 2 } else { 3 };
-        let wall_at = |jobs: usize| -> u64 {
-            let flow = flow.clone().jobs(jobs);
-            (0..sweeps)
+        let jobs_flow = flow.clone().seeds(jobs_m);
+        let wall_at = |jobs: usize| -> (u64, Vec<u64>) {
+            let flow = jobs_flow.clone().jobs(jobs);
+            let mut latencies = Vec::new();
+            let wall = (0..sweeps)
                 .map(|_| {
                     let t0 = Instant::now();
-                    for bench in &wb.benchmarks {
-                        let placement =
-                            Placement::center(flow.fabric(), bench.program.num_qubits());
-                        flow.map_with(&bench.program, policy, &placement)
-                            .expect("benchmarks map cleanly");
-                    }
+                    latencies = wb
+                        .benchmarks
+                        .iter()
+                        .map(|bench| {
+                            flow.run(&bench.program)
+                                .expect("benchmarks map cleanly")
+                                .latency
+                        })
+                        .collect();
                     t0.elapsed().as_micros() as u64
                 })
                 .min()
-                .expect("at least one sweep")
+                .expect("at least one sweep");
+            (wall, latencies)
         };
-        let jobs1_wall_us = wall_at(1);
-        let jobs4_wall_us = wall_at(4);
+        let (jobs1_wall_us, jobs1_latencies) = wall_at(1);
+        let (jobs4_wall_us, jobs4_latencies) = wall_at(4);
+        assert_eq!(
+            jobs1_latencies, jobs4_latencies,
+            "{kind}: --jobs changed mapped latencies"
+        );
         println!(
-            "{kind} suite wall: {suite_wall_ms} ms | jobs=1 {jobs1_wall_us} µs, \
-             jobs=4 {jobs4_wall_us} µs (min of {sweeps})\n"
+            "{kind} suite wall: {suite_wall_ms} ms | MVFB m={jobs_m}: jobs=1 \
+             {jobs1_wall_us} µs, jobs=4 {jobs4_wall_us} µs (min of {sweeps})\n"
         );
         assert!(
             jobs4_wall_us as f64 <= jobs1_wall_us as f64 * 1.5 + 20_000.0,
@@ -159,6 +175,7 @@ fn main() {
                 .string("router", kind.as_str())
                 .number("suite_wall_ms", suite_wall_ms)
                 .number("suite_wall_us", suite_wall_us)
+                .number("jobs_m", jobs_m as u64)
                 .number("jobs1_wall_us", jobs1_wall_us)
                 .number("jobs4_wall_us", jobs4_wall_us)
                 .raw("results", &results.build())

@@ -17,7 +17,8 @@
 //! (PathFinder-style rip-up-and-reroute) or `race` (run both engines —
 //! and the slack-feedback pilot under `--sta-feedback` — concurrently
 //! and keep the lowest latency); `--jobs N` grants the run N worker
-//! threads with byte-identical output at every N; `--format` is `text`
+//! threads for MVFB seeds and race legs, with byte-identical output at
+//! every N; `--format` is `text`
 //! (default) or `json` (stable machine-readable schema); `CODE` is one
 //! of `5,1,3`, `7,1,3`, `9,1,3`, `14,8,3`, `19,1,7`, `23,1,7`.
 //!
@@ -45,6 +46,7 @@
 //! `429 Too Many Requests` with `Retry-After`. `--log` writes one
 //! structured access-log line per request to stderr.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -55,10 +57,42 @@ use qspr_fabric::Fabric;
 use qspr_qasm::Program;
 use qspr_qecc::codes;
 
+/// Writes to stdout. All command output goes through here, so a failed
+/// write is a [`QsprError::Io`] on `<stdout>` rather than a `print!`
+/// panic.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), QsprError> {
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(|e| QsprError::io("<stdout>", e))
+}
+
+/// `print!` through [`write_stdout`], returning early on failure.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`write_stdout`], returning early on failure.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed the pipe early (`qspr fabric | head`)
+        // wanted no more output: stop quietly.
+        Err(QsprError::Io { source, .. }) if source.kind() == ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("qspr: {e}");
             eprintln!();
@@ -330,13 +364,13 @@ fn run(args: &[String]) -> Result<(), QsprError> {
     // Help short-circuits everything: any `--help`/`-h` anywhere wins,
     // and must exit 0 rather than trip the unknown-flag path.
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     }
     // `--version` wins anywhere too, for consistency with `--help`.
     if args.first().map(String::as_str) == Some("version") || args.iter().any(|a| a == "--version")
     {
-        println!("qspr {}", env!("CARGO_PKG_VERSION"));
+        outln!("qspr {}", env!("CARGO_PKG_VERSION"));
         return Ok(());
     }
     let Some(command) = args.first() else {
@@ -411,46 +445,49 @@ fn cmd_map(cli: &Cli) -> Result<(), QsprError> {
             if let Some(profile) = &profile {
                 summary = splice_field(&summary, "profile", &profile.to_json());
             }
-            println!("{summary}");
+            outln!("{summary}");
         }
         OutputFormat::Text => {
             match policy {
                 FlowPolicy::Qspr => {
-                    println!("policy          qspr (MVFB m={})", flow.seed_count())
+                    outln!("policy          qspr (MVFB m={})", flow.seed_count())
                 }
-                other => println!("policy          {other}"),
+                other => outln!("policy          {other}"),
             }
-            println!("router          {}", result.router);
-            println!("latency         {}µs", result.latency);
-            println!("ideal baseline  {}µs", flow.ideal_latency(&program));
-            println!("placement runs  {}", result.runs);
-            println!(
+            outln!("router          {}", result.router);
+            outln!("latency         {}µs", result.latency);
+            outln!("ideal baseline  {}µs", flow.ideal_latency(&program));
+            outln!("placement runs  {}", result.runs);
+            outln!(
                 "movement        {} moves, {} turns",
                 result.outcome.totals().moves,
                 result.outcome.totals().turns
             );
-            println!(
+            outln!(
                 "congestion wait {}µs total",
                 result.outcome.totals().congestion_wait
             );
             let routing = result.outcome.routing_stats();
-            println!(
+            outln!(
                 "routing epochs  {} ({} rip iterations, {} ripped routes, peak pressure {})",
-                routing.epochs, routing.iterations, routing.ripped, routing.max_pressure
+                routing.epochs,
+                routing.iterations,
+                routing.ripped,
+                routing.max_pressure
             );
             if cli.switch("--trace") {
                 if let Some(trace) = &result.forward_trace {
-                    println!("\ntrace ({} commands):", trace.len());
+                    outln!("\ntrace ({} commands):", trace.len());
                     for entry in trace {
-                        println!("  {entry}");
+                        outln!("  {entry}");
                     }
                 }
             }
             if let Some(report) = &sta_report {
-                println!("\n{report}");
+                outln!("\n{report}");
             }
             if let Some(profile) = &profile {
-                println!("\n{profile}");
+                outln!("\n{profile}");
             }
         }
     }
@@ -474,13 +511,13 @@ fn cmd_sta(cli: &Cli) -> Result<(), QsprError> {
     let result = flow.run(&program)?;
     let report = flow.timing_report(&program, &result)?;
     match format {
-        OutputFormat::Json => println!("{}", report.to_json()),
+        OutputFormat::Json => outln!("{}", report.to_json()),
         OutputFormat::Text => {
-            println!("circuit         {path}");
-            println!("router          {}", result.router);
-            println!("latency         {}µs", result.latency);
-            println!();
-            println!("{report}");
+            outln!("circuit         {path}");
+            outln!("router          {}", result.router);
+            outln!("latency         {}µs", result.latency);
+            outln!();
+            outln!("{report}");
         }
     }
     Ok(())
@@ -495,8 +532,8 @@ fn cmd_compare(cli: &Cli) -> Result<(), QsprError> {
     let format = cli.format()?;
     let row = cli.flow()?.compare(path, &program)?;
     match format {
-        OutputFormat::Text => println!("{row}"),
-        OutputFormat::Json => println!("{}", row.to_json()),
+        OutputFormat::Text => outln!("{row}"),
+        OutputFormat::Json => outln!("{}", row.to_json()),
     }
     Ok(())
 }
@@ -508,12 +545,12 @@ fn cmd_suite(cli: &Cli) -> Result<(), QsprError> {
     for bench in codes::benchmark_suite() {
         let row = flow.compare(&bench.name, &bench.program)?;
         match format {
-            OutputFormat::Text => println!("{row}"),
+            OutputFormat::Text => outln!("{row}"),
             OutputFormat::Json => rows.push_raw(&row.to_json()),
         }
     }
     if format == OutputFormat::Json {
-        println!("{}", rows.build());
+        outln!("{}", rows.build());
     }
     Ok(())
 }
@@ -536,12 +573,12 @@ fn cmd_batch(cli: &Cli) -> Result<(), QsprError> {
     }
     let report = mapper.run(&jobs)?;
     match format {
-        OutputFormat::Json => println!("{}", report.to_json()),
+        OutputFormat::Json => outln!("{}", report.to_json()),
         OutputFormat::Text => {
             for item in &report.items {
-                println!("{}  [{:>7.1?}]", item.row, item.cpu);
+                outln!("{}  [{:>7.1?}]", item.row, item.cpu);
             }
-            println!(
+            outln!(
                 "{} circuits | {} threads | wall {:.2?} | worker time {:.2?} | speedup {:.2}x | mean improvement {:.2}%",
                 report.items.len(),
                 report.threads,
@@ -579,7 +616,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
             .with_cache(CacheConfig {
                 entries: cache_capacity,
                 shards: cli.cache_shards()?,
-                ..CacheConfig::default()
             })
             .with_jobs_budget(jobs_budget),
     );
@@ -597,8 +633,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
         .map_err(|e| QsprError::io(&config.addr, e))?;
     // The bound address is the machine-readable part (CI greps it to
     // discover the ephemeral port), so it goes first on its own line.
-    println!("listening on http://{addr}/");
-    println!(
+    outln!("listening on http://{addr}/");
+    outln!(
         "threads {} | cache {} entries x {} shards | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, POST /batch, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
         config.threads,
         cache_capacity,
@@ -610,7 +646,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
         .run()
         .map_err(|e| QsprError::io(addr.to_string(), e))?;
     let stats = service.stats();
-    println!(
+    outln!(
         "served {} requests ({} map, {} compare, {} sta, {} batch/{} programs) | cache {} hits / {} misses | rejected {} | busy {}ms",
         stats.requests,
         stats.map_requests,
@@ -629,8 +665,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
 fn cmd_fabric(cli: &Cli) -> Result<(), QsprError> {
     let fabric = cli.fabric()?;
     let topo = fabric.topology();
-    println!("{fabric}");
-    println!(
+    outln!("{fabric}");
+    outln!(
         "{}x{} cells | {} traps, {} junctions, {} segments | center {}",
         fabric.rows(),
         fabric.cols(),
@@ -640,7 +676,7 @@ fn cmd_fabric(cli: &Cli) -> Result<(), QsprError> {
         fabric.center(),
     );
     let stats = fabric.stats();
-    println!(
+    outln!(
         "connected: {} | diameter: {} moves / {} hops | mean trap distance {:.1} | empty {:.0}%",
         stats.connected,
         stats.junction_diameter_moves,
@@ -667,7 +703,7 @@ fn cmd_encode(cli: &Cli) -> Result<(), QsprError> {
     };
     let program =
         qspr_qecc::encoder::encoding_circuit(&code).map_err(|e| QsprError::usage(e.to_string()))?;
-    print!("{}", program.to_qasm());
+    out!("{}", program.to_qasm());
     Ok(())
 }
 

@@ -222,11 +222,10 @@ impl Flow {
     }
 
     /// Grants the flow up to `jobs` worker threads (clamped to at
-    /// least 1; default 1): the routing engine may parallelize inside
-    /// an epoch (the mapper additionally clamps its grant to the
-    /// host's cores — oversubscription only adds speculation
-    /// overhead), and `--router race` runs its engine legs
-    /// concurrently.
+    /// least 1; default 1): the placer maps its independent MVFB seeds
+    /// (or Monte Carlo runs) concurrently, with the mapper clamping the
+    /// grant to the host's cores, and `--router race` runs its engine
+    /// legs concurrently.
     /// Purely a performance hint — results are byte-identical at every
     /// value, so `jobs` is deliberately *not* a [`Flow::fingerprint`]
     /// axis and cached answers remain valid across thread counts.
@@ -456,7 +455,7 @@ impl Flow {
         })
     }
 
-    /// The speculative racing driver behind `--router race`
+    /// The engine race behind `--router race`
     /// ([`qspr_route::RouterKind::Race`]): run the greedy and
     /// negotiated engines on the whole flow — plus the slack-feedback
     /// pilot when [`Flow::sta_feedback`] is enabled — and keep the leg

@@ -3,28 +3,27 @@
 //! Keys are the canonical flow fingerprints of
 //! [`Flow::fingerprint`](crate::Flow::fingerprint); values are the
 //! exact response bodies the service sent on the cold path, so a cache
-//! hit is byte-identical by construction. Two structures live here:
+//! hit is byte-identical by construction.
 //!
-//! - [`LruCache`] — the original single-threaded LRU (HashMap plus an
-//!   intrusive recency list in a slab of indices — no `unsafe`, O(1)
-//!   get/insert/evict). The service used to guard one of these with a
-//!   single mutex; it remains the behavioral reference the sharded
-//!   cache's equivalence tests replay against.
-//! - [`ShardedCache`] — N independent [`LruCache`]-shaped shards, each
-//!   behind its own lock, selected by an FNV-1a hash of the key.
-//!   Concurrent requests for different keys almost never contend, and
-//!   each shard additionally accounts bytes, enforces an optional TTL,
-//!   and keeps hit/miss/eviction counters that `/stats` surfaces
-//!   per shard.
+//! [`ShardedCache`] holds N independent LRU shards, each behind its own
+//! lock, selected by an FNV-1a hash of the key. Each shard is a HashMap
+//! plus an intrusive recency list in a slab of indices — no `unsafe`,
+//! O(1) get/insert/evict. Concurrent requests for different keys almost
+//! never contend, and each shard accounts bytes and keeps
+//! hit/miss/eviction counters that `/stats` surfaces per shard.
+//!
+//! A test-only `LruCache` — the original single-threaded LRU the
+//! service once guarded with one mutex — is the behavioral reference
+//! the sharded cache's equivalence test replays against.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Sentinel for "no neighbor" in the intrusive recency list.
 const NONE: usize = usize::MAX;
 
 /// One slab slot: a key/value pair threaded into the recency list.
+#[cfg(test)]
 #[derive(Debug)]
 struct Entry<V> {
     key: String,
@@ -33,26 +32,14 @@ struct Entry<V> {
     next: usize,
 }
 
-/// A least-recently-used cache with string keys.
+/// A least-recently-used cache with string keys: the single-lock
+/// reference model of one [`ShardedCache`] shard.
 ///
 /// Capacity 0 disables the cache entirely: every lookup misses and
 /// nothing is stored.
-///
-/// # Examples
-///
-/// ```
-/// use qspr::service::LruCache;
-///
-/// let mut cache: LruCache<&'static str> = LruCache::new(2);
-/// cache.insert("a".into(), "alpha");
-/// cache.insert("b".into(), "beta");
-/// assert_eq!(cache.get("a"), Some(&"alpha")); // promotes "a"
-/// cache.insert("c".into(), "gamma");          // evicts "b", the LRU
-/// assert_eq!(cache.get("b"), None);
-/// assert_eq!(cache.len(), 2);
-/// ```
+#[cfg(test)]
 #[derive(Debug)]
-pub struct LruCache<V> {
+pub(crate) struct LruCache<V> {
     capacity: usize,
     map: HashMap<String, usize>,
     slab: Vec<Entry<V>>,
@@ -64,9 +51,10 @@ pub struct LruCache<V> {
     free: Vec<usize>,
 }
 
+#[cfg(test)]
 impl<V> LruCache<V> {
     /// Creates a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> LruCache<V> {
+    pub(crate) fn new(capacity: usize) -> LruCache<V> {
         LruCache {
             capacity,
             map: HashMap::new(),
@@ -78,22 +66,22 @@ impl<V> LruCache<V> {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of entries currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &str) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &str) -> Option<&V> {
         let &slot = self.map.get(key)?;
         self.promote(slot);
         Some(&self.slab[slot].value)
@@ -101,7 +89,7 @@ impl<V> LruCache<V> {
 
     /// Inserts (or replaces) `key`, evicting the least recently used
     /// entry when full. The inserted entry becomes most recently used.
-    pub fn insert(&mut self, key: String, value: V) {
+    pub(crate) fn insert(&mut self, key: String, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -189,22 +177,14 @@ pub struct CacheConfig {
     pub entries: usize,
     /// Number of independent shards (clamped to at least 1).
     pub shards: usize,
-    /// Entries older than this are expired lazily on lookup
-    /// (`None` = never expire).
-    pub ttl: Option<Duration>,
-    /// Total byte budget across all shards (`None` = entries-only
-    /// limit). Bytes are accounted as `key.len() + value.len()`.
-    pub max_bytes: Option<usize>,
 }
 
 impl Default for CacheConfig {
-    /// 1024 entries across 8 shards, no TTL, no byte cap.
+    /// 1024 entries across 8 shards.
     fn default() -> CacheConfig {
         CacheConfig {
             entries: 1024,
             shards: 8,
-            ttl: None,
-            max_bytes: None,
         }
     }
 }
@@ -219,20 +199,17 @@ pub struct ShardStats {
     pub bytes: u64,
     /// Lookups answered from this shard.
     pub hits: u64,
-    /// Lookups that found nothing (or an expired entry).
+    /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries removed by capacity pressure or TTL expiry.
+    /// Entries removed by capacity pressure.
     pub evictions: u64,
 }
 
-/// One shard: an [`LruCache`]-shaped slab LRU with byte accounting,
-/// optional expiry timestamps, and counters.
+/// One shard: a slab LRU with byte accounting and counters.
 #[derive(Debug)]
 struct Shard {
     /// Entry capacity of this shard.
     capacity: usize,
-    /// Byte capacity of this shard (`usize::MAX` = unbounded).
-    max_bytes: usize,
     map: HashMap<String, usize>,
     slab: Vec<ShardEntry>,
     head: usize,
@@ -252,17 +229,14 @@ struct ShardEntry {
     value: String,
     /// `key.len() + value.len()` at insert time.
     bytes: usize,
-    /// Absolute expiry instant (`None` = never).
-    expires: Option<Instant>,
     prev: usize,
     next: usize,
 }
 
 impl Shard {
-    fn new(capacity: usize, max_bytes: usize) -> Shard {
+    fn new(capacity: usize) -> Shard {
         Shard {
             capacity,
-            max_bytes,
             map: HashMap::new(),
             slab: Vec::new(),
             head: NONE,
@@ -275,25 +249,18 @@ impl Shard {
         }
     }
 
-    /// Looks `key` up at time `now`: a live entry is promoted and
-    /// cloned out; an expired one is evicted and counted as a miss.
-    fn get(&mut self, key: &str, now: Instant) -> Option<String> {
+    /// Looks `key` up: a hit is promoted and cloned out.
+    fn get(&mut self, key: &str) -> Option<String> {
         let Some(&slot) = self.map.get(key) else {
             self.misses += 1;
             return None;
         };
-        if self.slab[slot].expires.is_some_and(|at| now >= at) {
-            self.remove(slot);
-            self.evictions += 1;
-            self.misses += 1;
-            return None;
-        }
         self.promote(slot);
         self.hits += 1;
         Some(self.slab[slot].value.clone())
     }
 
-    fn insert(&mut self, key: String, value: String, expires: Option<Instant>) {
+    fn insert(&mut self, key: String, value: String) {
         if self.capacity == 0 {
             return;
         }
@@ -302,9 +269,7 @@ impl Shard {
             self.bytes = self.bytes - self.slab[slot].bytes + entry_bytes;
             self.slab[slot].value = value;
             self.slab[slot].bytes = entry_bytes;
-            self.slab[slot].expires = expires;
             self.promote(slot);
-            self.shrink_to_bytes();
             return;
         }
         if self.map.len() == self.capacity {
@@ -314,7 +279,6 @@ impl Shard {
             key: key.clone(),
             value,
             bytes: entry_bytes,
-            expires,
             prev: NONE,
             next: self.head,
         };
@@ -337,16 +301,6 @@ impl Shard {
         }
         self.map.insert(key, slot);
         self.bytes += entry_bytes;
-        self.shrink_to_bytes();
-    }
-
-    /// Evicts from the tail until the byte budget holds (the freshly
-    /// inserted head survives even when it alone exceeds the budget —
-    /// an oversized result is still worth caching once).
-    fn shrink_to_bytes(&mut self) {
-        while self.bytes > self.max_bytes && self.map.len() > 1 {
-            self.evict_tail();
-        }
     }
 
     fn promote(&mut self, slot: usize) {
@@ -371,29 +325,21 @@ impl Shard {
         self.head = slot;
     }
 
+    /// Removes the least recently used entry.
     fn evict_tail(&mut self) {
         let victim = self.tail;
         debug_assert_ne!(victim, NONE, "evict called on an empty shard");
-        self.remove(victim);
-        self.evictions += 1;
-    }
-
-    /// Unlinks and frees `slot` (shared by eviction and TTL expiry).
-    fn remove(&mut self, slot: usize) {
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
+        let prev = self.slab[victim].prev;
         if prev != NONE {
-            self.slab[prev].next = next;
+            self.slab[prev].next = NONE;
         } else {
-            self.head = next;
+            self.head = NONE;
         }
-        if next != NONE {
-            self.slab[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.bytes -= self.slab[slot].bytes;
-        self.map.remove(&self.slab[slot].key);
-        self.free.push(slot);
+        self.tail = prev;
+        self.bytes -= self.slab[victim].bytes;
+        self.map.remove(&self.slab[victim].key);
+        self.free.push(victim);
+        self.evictions += 1;
     }
 
     fn stats(&self) -> ShardStats {
@@ -412,9 +358,9 @@ impl Shard {
 /// the key. Cheap shared access from many worker threads — two
 /// requests contend only when their keys land in the same shard.
 ///
-/// With one shard, no TTL and no byte cap, the observable hit/miss/
-/// eviction behavior is identical to a mutex-wrapped [`LruCache`] (an
-/// equivalence the tests replay op-for-op).
+/// With one shard, the observable hit/miss/eviction behavior is
+/// identical to a single mutex-wrapped LRU (an equivalence the tests
+/// replay op-for-op).
 ///
 /// # Examples
 ///
@@ -438,7 +384,6 @@ pub struct ShardedCache {
     /// Total entry capacity as configured (shards each get a
     /// `ceil(entries / shards)` slice).
     entries: usize,
-    ttl: Option<Duration>,
 }
 
 impl ShardedCache {
@@ -448,16 +393,12 @@ impl ShardedCache {
     pub fn new(config: CacheConfig) -> ShardedCache {
         let shard_count = config.shards.max(1);
         let per_shard = config.entries.div_ceil(shard_count);
-        let bytes_per_shard = config
-            .max_bytes
-            .map_or(usize::MAX, |b| b.div_ceil(shard_count));
         let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::new(per_shard, bytes_per_shard)))
+            .map(|_| Mutex::new(Shard::new(per_shard)))
             .collect();
         ShardedCache {
             shards,
             entries: config.entries,
-            ttl: config.ttl,
         }
     }
 
@@ -466,13 +407,12 @@ impl ShardedCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Looks up `key`, promoting it on a hit; expired entries are
-    /// evicted lazily and count as a miss plus an eviction.
+    /// Looks up `key`, promoting it on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
         self.shard_for(key)
             .lock()
             .expect("cache shard lock")
-            .get(key, Instant::now())
+            .get(key)
     }
 
     /// Like [`ShardedCache::get`] but reports which shard answered
@@ -482,7 +422,7 @@ impl ShardedCache {
         let value = self.shards[index]
             .lock()
             .expect("cache shard lock")
-            .get(key, Instant::now());
+            .get(key);
         (index, value)
     }
 
@@ -497,14 +437,13 @@ impl ShardedCache {
         (hash % self.shards.len() as u64) as usize
     }
 
-    /// Inserts (or replaces) `key`, stamping the configured TTL and
-    /// evicting LRU entries past the shard's entry or byte budget.
+    /// Inserts (or replaces) `key`, evicting the shard's LRU entry
+    /// when it is full.
     pub fn insert(&self, key: String, value: String) {
-        let expires = self.ttl.map(|ttl| Instant::now() + ttl);
         self.shard_for(&key)
             .lock()
             .expect("cache shard lock")
-            .insert(key, value, expires);
+            .insert(key, value);
     }
 
     /// Number of shards.

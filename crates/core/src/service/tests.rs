@@ -4,11 +4,11 @@
 //! equivalence), HTTP parser property tests, and real-TCP keep-alive
 //! round trips.
 
+use super::cache::LruCache;
 use super::http::{encode_response, Parser};
 use super::*;
 use proptest::prelude::*;
 use qspr_fabric::Fabric;
-use std::time::Duration;
 
 /// A two-qubit program that maps in well under a millisecond.
 const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
@@ -297,7 +297,6 @@ fn eviction_causes_a_rerun_not_a_wrong_answer() {
     let service = MapService::new(Fabric::quale_45x85(), 1).with_cache(CacheConfig {
         entries: 1,
         shards: 1,
-        ..CacheConfig::default()
     });
     let a = format!("{{\"program\":{BELL:?},\"m\":2}}");
     let b = format!("{{\"program\":{BELL:?},\"m\":3}}");
@@ -721,7 +720,6 @@ fn sharded_cache_accounts_bytes_exactly() {
     let cache = ShardedCache::new(CacheConfig {
         entries: 64,
         shards: 4,
-        ..CacheConfig::default()
     });
     let mut expected = 0u64;
     for i in 0..40 {
@@ -750,52 +748,12 @@ fn sharded_cache_accounts_bytes_exactly() {
 }
 
 #[test]
-fn sharded_cache_enforces_a_byte_budget() {
-    let cache = ShardedCache::new(CacheConfig {
-        entries: 1024,
-        shards: 1,
-        ttl: None,
-        max_bytes: Some(100),
-    });
-    for i in 0..20 {
-        cache.insert(format!("k{i}"), "0123456789".into()); // 12 bytes each
-    }
-    assert!(cache.bytes() <= 100, "bytes={}", cache.bytes());
-    assert!(cache.len() < 20);
-    assert_eq!(cache.audit_bytes(), cache.bytes());
-    // The most recent insert always survives.
-    assert_eq!(cache.get("k19"), Some("0123456789".into()));
-}
-
-#[test]
-fn sharded_cache_expires_entries_lazily() {
-    let cache = ShardedCache::new(CacheConfig {
-        entries: 16,
-        shards: 2,
-        ttl: Some(Duration::from_millis(40)),
-        max_bytes: None,
-    });
-    cache.insert("a".into(), "alpha".into());
-    assert_eq!(cache.get("a"), Some("alpha".into()));
-    std::thread::sleep(Duration::from_millis(60));
-    assert_eq!(cache.get("a"), None, "expired entries miss");
-    let totals = cache.totals();
-    assert_eq!((totals.hits, totals.misses, totals.evictions), (1, 1, 1));
-    assert_eq!(cache.len(), 0);
-    assert_eq!(cache.bytes(), 0);
-    // Reinsert starts a fresh TTL.
-    cache.insert("a".into(), "beta".into());
-    assert_eq!(cache.get("a"), Some("beta".into()));
-}
-
-#[test]
 fn sharded_cache_is_deterministic_under_concurrency() {
     // N threads hammer disjoint key ranges concurrently; every thread
     // sees exactly its own values, and the final counters add up.
     let cache = Arc::new(ShardedCache::new(CacheConfig {
         entries: 4096,
         shards: 8,
-        ..CacheConfig::default()
     }));
     let threads = 8;
     let per_thread = 100u32;
@@ -838,8 +796,8 @@ fn sharded_cache_is_deterministic_under_concurrency() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// With one shard, no TTL and no byte budget, the sharded cache is
-    /// observably identical to the old mutex-wrapped [`LruCache`] on
+    /// With one shard, the sharded cache is observably identical to
+    /// the old mutex-wrapped [`LruCache`] on
     /// any operation trace: same hits, same misses, same evictions,
     /// same final contents.
     #[test]
@@ -851,8 +809,6 @@ proptest! {
         let sharded = ShardedCache::new(CacheConfig {
             entries: capacity,
             shards: 1,
-            ttl: None,
-            max_bytes: None,
         });
         for (is_insert, key) in ops {
             let key = format!("k{key}");
@@ -882,7 +838,6 @@ fn shard_count_never_changes_response_bytes() {
     let single = MapService::new(Fabric::quale_45x85(), 8).with_cache(CacheConfig {
         entries: 8,
         shards: 1,
-        ..CacheConfig::default()
     });
     let sharded = MapService::new(Fabric::quale_45x85(), 8);
     let map_body = format!("{{\"program\":{BELL:?},\"m\":2}}");

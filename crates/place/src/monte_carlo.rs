@@ -10,7 +10,7 @@ use qspr_fabric::Time;
 use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
-use crate::placer::{PassDirection, Placer, PlacerSolution};
+use crate::placer::{map_striped, PassDirection, Placer, PlacerSolution};
 
 /// The paper's Monte Carlo baseline placer: `runs` random permutations of
 /// the center traps are mapped; the cheapest wins.
@@ -52,41 +52,62 @@ impl MonteCarloPlacer {
     }
 }
 
-impl Placer for MonteCarloPlacer {
-    fn name(&self) -> &str {
-        "monte-carlo"
-    }
-
-    /// Runs the search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`MapError`] (e.g. a stalled mapping on a
-    /// degenerate fabric). `runs == 0` is reported as a stall, since no
-    /// placement was ever produced.
-    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
+impl MonteCarloPlacer {
+    /// [`Placer::place`] on exactly `workers` threads; `place` passes
+    /// the mapper's [`Mapper::job_count`]. Every placement is drawn up
+    /// front from the one RNG stream, in run order, and the cheapest is
+    /// chosen in run order with a strict `<`, so the result does not
+    /// depend on `workers`.
+    fn place_striped(
+        &self,
+        mapper: &Mapper<'_>,
+        program: &Program,
+        workers: usize,
+    ) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.rng_seed);
-        let mut best: Option<(Time, Placement)> = None;
-        for _ in 0..self.runs {
-            let placement =
-                Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng);
-            let outcome = mapper.map(program, &placement)?;
-            if best.as_ref().map_or(true, |(l, _)| outcome.latency() < *l) {
-                best = Some((outcome.latency(), placement));
+        let mut placements: Vec<Placement> = (0..self.runs)
+            .map(|_| Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng))
+            .collect();
+        let mapper = mapper.clone().jobs(1);
+        let latencies = map_striped(workers, placements.len(), |i| {
+            mapper.map(program, &placements[i]).map(|o| o.latency())
+        })?;
+        let mut best: Option<(Time, usize)> = None;
+        for (i, latency) in latencies.into_iter().enumerate() {
+            if best.map_or(true, |(l, _)| latency < l) {
+                best = Some((latency, i));
             }
         }
-        let (latency, placement) = best.ok_or(MapError::Stalled {
+        let (latency, index) = best.ok_or(MapError::Stalled {
             remaining: program.instructions().len(),
         })?;
         Ok(PlacerSolution {
             latency,
             direction: PassDirection::Forward,
-            initial_placement: placement,
+            initial_placement: placements.swap_remove(index),
             runs: self.runs,
             cpu: started.elapsed(),
         })
+    }
+}
+
+impl Placer for MonteCarloPlacer {
+    fn name(&self) -> &str {
+        "monte-carlo"
+    }
+
+    /// Runs the search, mapping the placements on up to the mapper's
+    /// [`Mapper::job_count`] threads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`MapError`] in run order (e.g. a stalled
+    /// mapping on a degenerate fabric). `runs == 0` is reported as a
+    /// stall, since no placement was ever produced.
+    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
+        self.place_striped(mapper, program, mapper.job_count())
     }
 }
 
@@ -161,6 +182,46 @@ C-Z q4,q0
         assert_eq!(sol.direction, PassDirection::Forward);
         let outcome = mapper.map(&program, &sol.initial_placement).unwrap();
         assert_eq!(outcome.latency(), sol.latency);
+    }
+
+    #[test]
+    fn striped_runs_match_one_worker() {
+        let fabric = Fabric::quale_45x85();
+        let tech = TechParams::date2012();
+        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let program = Program::parse(FIG3).unwrap();
+        let placer = MonteCarloPlacer::new(9, 5);
+        let outcome =
+            |sol: PlacerSolution| (sol.latency, sol.direction, sol.initial_placement, sol.runs);
+        let expected = outcome(placer.place_striped(&mapper, &program, 1).unwrap());
+        for workers in [2, 4] {
+            let got = outcome(placer.place_striped(&mapper, &program, workers).unwrap());
+            assert_eq!(got, expected, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn striped_runs_report_the_earliest_error() {
+        // Two islands, four traps on one and one on the other: qubits
+        // placed apart can never meet. The program maps only with `e`
+        // alone on the small island, and otherwise stalls with 2 (`a`/`b`
+        // split) or 1 (`c`/`d` split) gates left.
+        let fabric = Fabric::from_ascii(".T.T.T.T.....T.\n+-+-+-+-+...+-+\n").unwrap();
+        let tech = TechParams::date2012();
+        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        let program = Program::parse(
+            "QUBIT a\nQUBIT b\nQUBIT c\nQUBIT d\nQUBIT e\nC-X a,b\nH a\nC-X c,d\nH e\n",
+        )
+        .unwrap();
+        // With RNG seed 17, run 0 maps, run 1 splits `a`/`b`, and runs 2
+        // and 3 split `c`/`d` and fail with a different error.
+        let placer = MonteCarloPlacer::new(8, 17);
+        for workers in [1, 2, 4] {
+            let err = placer
+                .place_striped(&mapper, &program, workers)
+                .unwrap_err();
+            assert_eq!(err, MapError::Stalled { remaining: 2 }, "{workers} workers");
+        }
     }
 
     #[test]

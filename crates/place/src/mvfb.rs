@@ -10,7 +10,7 @@ use qspr_fabric::Time;
 use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
-use crate::placer::{PassDirection, Placer, PlacerSolution};
+use crate::placer::{map_striped, PassDirection, Placer, PlacerSolution};
 
 /// MVFB tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,61 +71,46 @@ impl MvfbPlacer {
     }
 }
 
-impl Placer for MvfbPlacer {
-    fn name(&self) -> &str {
-        "mvfb"
-    }
+/// A pass's latency, direction and starting placement.
+type BestPass = (Time, PassDirection, Placement);
 
-    /// Runs the search.
+impl MvfbPlacer {
+    /// [`Placer::place`] on exactly `workers` threads; `place` passes
+    /// the mapper's [`Mapper::job_count`].
     ///
-    /// # Errors
-    ///
-    /// Propagates the first [`MapError`]; reports a stall when configured
-    /// with zero seeds.
-    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
+    /// Seeds are independent: every seed's RNG value is drawn from the
+    /// master stream up front, in seed order, and each seed runs its
+    /// whole local search on its own. The per-seed bests are then
+    /// reduced in seed order under the same strict `<` a sequential
+    /// loop uses, so the earliest pass reaching the minimum wins at
+    /// every worker count, and the earliest failing seed's error is
+    /// the one reported.
+    fn place_striped(
+        &self,
+        mapper: &Mapper<'_>,
+        program: &Program,
+        workers: usize,
+    ) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
         let reversed = program.reversed();
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
-        let mut best: Option<(Time, PassDirection, Placement)> = None;
-        let mut total_runs = 0usize;
+        let seeds: Vec<u64> = (0..self.config.seeds).map(|_| rng.gen()).collect();
+        let mapper = mapper.clone().jobs(1);
+        let per_seed = map_striped(workers, seeds.len(), |i| {
+            self.search_seed(&mapper, program, &reversed, seeds[i])
+        })?;
 
-        for _ in 0..self.config.seeds {
-            // Derive a per-seed stream so seeds are independent of how
-            // many passes earlier seeds consumed.
-            let mut seed_rng = StdRng::seed_from_u64(rng.gen());
-            let mut placement =
-                Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut seed_rng);
-            let mut seed_best = Time::MAX;
-            let mut stale = 0usize;
-            let mut forward = true;
-            for _ in 0..self.config.max_passes_per_seed {
-                let prog = if forward { program } else { &reversed };
-                let outcome = mapper.map(prog, &placement)?;
-                total_runs += 1;
-                let latency = outcome.latency();
-                let direction = if forward {
-                    PassDirection::Forward
-                } else {
-                    PassDirection::Backward
-                };
-                if best.as_ref().map_or(true, |(l, _, _)| latency < *l) {
-                    best = Some((latency, direction, placement.clone()));
+        let mut best: Option<BestPass> = None;
+        let mut total_runs = 0usize;
+        for (seed_best, runs) in per_seed {
+            total_runs += runs;
+            if let Some(candidate) = seed_best {
+                if best.as_ref().map_or(true, |(l, _, _)| candidate.0 < *l) {
+                    best = Some(candidate);
                 }
-                if latency < seed_best {
-                    seed_best = latency;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= self.config.patience {
-                        break;
-                    }
-                }
-                placement = outcome.final_placement().clone();
-                forward = !forward;
             }
         }
-
         let (latency, direction, initial_placement) = best.ok_or(MapError::Stalled {
             remaining: program.instructions().len(),
         })?;
@@ -137,13 +122,75 @@ impl Placer for MvfbPlacer {
             cpu: started.elapsed(),
         })
     }
+
+    /// One seed's local search: alternate forward and backward passes
+    /// from a random center placement until [`MvfbConfig::patience`]
+    /// passes in a row fail to improve. Returns the seed's first pass
+    /// reaching its minimum latency (`None` if it ran no pass) and the
+    /// number of passes run.
+    fn search_seed(
+        &self,
+        mapper: &Mapper<'_>,
+        program: &Program,
+        reversed: &Program,
+        seed: u64,
+    ) -> Result<(Option<BestPass>, usize), MapError> {
+        let mut seed_rng = StdRng::seed_from_u64(seed);
+        let mut placement =
+            Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut seed_rng);
+        let mut best: Option<BestPass> = None;
+        let mut runs = 0usize;
+        let mut stale = 0usize;
+        let mut forward = true;
+        for _ in 0..self.config.max_passes_per_seed {
+            let prog = if forward { program } else { reversed };
+            let outcome = mapper.map(prog, &placement)?;
+            runs += 1;
+            let latency = outcome.latency();
+            if best.as_ref().map_or(true, |(l, _, _)| latency < *l) {
+                let direction = if forward {
+                    PassDirection::Forward
+                } else {
+                    PassDirection::Backward
+                };
+                best = Some((latency, direction, placement.clone()));
+                stale = 0;
+            } else {
+                stale += 1;
+                if stale >= self.config.patience {
+                    break;
+                }
+            }
+            placement = outcome.final_placement().clone();
+            forward = !forward;
+        }
+        Ok((best, runs))
+    }
+}
+
+impl Placer for MvfbPlacer {
+    fn name(&self) -> &str {
+        "mvfb"
+    }
+
+    /// Runs the search, mapping the seeds on up to the mapper's
+    /// [`Mapper::job_count`] threads. The result does not depend on
+    /// the thread count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`MapError`] in seed order; reports a stall
+    /// when configured with zero seeds.
+    fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
+        self.place_striped(mapper, program, mapper.job_count())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qspr_fabric::{Fabric, TechParams};
-    use qspr_sim::{validate_trace, MapperPolicy};
+    use qspr_sim::{validate_trace, MapperPolicy, RouterKind};
 
     const FIG3: &str = "\
 QUBIT q0,0
@@ -250,6 +297,57 @@ C-Z q4,q0
         // shared prefix stream the first seed coincides.
         assert!(many.latency <= few.latency);
         assert!(many.runs > few.runs);
+    }
+
+    /// Two islands, four traps on one and one on the other. Qubits
+    /// placed apart can never meet, so a mapping stalls.
+    const ISLANDS: &str = ".T.T.T.T.....T.\n+-+-+-+-+...+-+\n";
+
+    /// Succeeds only with `e` alone on the small island; otherwise
+    /// stalls with 2 (`a`/`b` split) or 1 (`c`/`d` split) gates left.
+    const ISLAND_PROGRAM: &str =
+        "QUBIT a\nQUBIT b\nQUBIT c\nQUBIT d\nQUBIT e\nC-X a,b\nH a\nC-X c,d\nH e\n";
+
+    /// The fields of a solution that must not depend on the worker
+    /// count (`cpu` is wall time).
+    fn outcome(sol: &PlacerSolution) -> (Time, PassDirection, Placement, usize) {
+        (
+            sol.latency,
+            sol.direction,
+            sol.initial_placement.clone(),
+            sol.runs,
+        )
+    }
+
+    #[test]
+    fn striped_seeds_match_one_worker() {
+        let (fabric, tech, program) = setup();
+        for router in [RouterKind::Greedy, RouterKind::Negotiated] {
+            let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech)).router(router);
+            let placer = MvfbPlacer::new(MvfbConfig::new(7, 13));
+            let expected = outcome(&placer.place_striped(&mapper, &program, 1).unwrap());
+            for workers in [2, 4] {
+                let got = placer.place_striped(&mapper, &program, workers).unwrap();
+                assert_eq!(outcome(&got), expected, "{router} with {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn striped_seeds_report_the_earliest_seed_error() {
+        let fabric = Fabric::from_ascii(ISLANDS).unwrap();
+        let tech = TechParams::date2012();
+        let program = Program::parse(ISLAND_PROGRAM).unwrap();
+        let mapper = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech));
+        // With RNG seed 2, seed 0 maps, seed 1 splits `a`/`b`, and
+        // later seeds split `c`/`d` and fail with a different error.
+        let placer = MvfbPlacer::new(MvfbConfig::new(8, 2));
+        for workers in [1, 2, 4] {
+            let err = placer
+                .place_striped(&mapper, &program, workers)
+                .unwrap_err();
+            assert_eq!(err, MapError::Stalled { remaining: 2 }, "{workers} workers");
+        }
     }
 
     #[test]

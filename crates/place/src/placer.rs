@@ -5,6 +5,7 @@
 //! engines (MVFB vs Monte Carlo vs anything a downstream crate cooks
 //! up) without growing one method per engine.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use qspr_fabric::Time;
@@ -179,9 +180,89 @@ impl<P: Placer + ?Sized> Placer for Box<P> {
     }
 }
 
+/// Runs `task(i)` for every `i` in `0..len` on up to `workers` scoped
+/// threads and returns the results in index order, or the error of the
+/// lowest failing index — exactly what a sequential loop with `?`
+/// returns.
+///
+/// Indices are striped by number (worker `w` takes `w, w + W, …`), and
+/// each task must depend only on its index, so the output does not
+/// depend on scheduling. After a failure at index `e`, workers skip
+/// indices above `e`: those results could never be returned, while
+/// every index below `e` still runs, because the recorded failure index
+/// only ever decreases. One worker runs inline on the caller's thread.
+/// Workers relay the caller's span context ([`qspr_obs::Relay`]) so
+/// their spans nest under the caller's open span.
+pub(crate) fn map_striped<T, F>(workers: usize, len: usize, task: F) -> Result<Vec<T>, MapError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, MapError> + Sync,
+{
+    let workers = workers.min(len);
+    if workers <= 1 {
+        return (0..len).map(task).collect();
+    }
+    let first_err = AtomicUsize::new(usize::MAX);
+    let relay = qspr_obs::Relay::capture();
+    let mut done: Vec<(usize, Result<T, MapError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (task, first_err, relay) = (&task, &first_err, &relay);
+                scope.spawn(move || {
+                    let _sink = relay.install();
+                    let mut out = Vec::new();
+                    for i in (w..len).step_by(workers) {
+                        if i > first_err.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let result = task(i);
+                        if result.is_err() {
+                            first_err.fetch_min(i, Ordering::Relaxed);
+                        }
+                        out.push((i, result));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("placer worker panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn striped_results_come_back_in_index_order() {
+        for workers in 0..=5 {
+            for len in 0..10 {
+                let out = map_striped(workers, len, |i| Ok(i * 10)).unwrap();
+                assert_eq!(out, (0..len).map(|i| i * 10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_index_wins_at_every_worker_count() {
+        let fail = |i: usize| MapError::Stalled { remaining: i };
+        for workers in 1..=4 {
+            // Index 3 fails fast while lower indices are still running.
+            let out = map_striped(workers, 9, |i| {
+                if i == 5 || i == 3 {
+                    return Err(fail(i));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(i)
+            });
+            assert_eq!(out, Err(fail(3)), "workers={workers}");
+        }
+    }
 
     #[test]
     fn pass_direction_names_are_stable() {

@@ -58,7 +58,7 @@
 //!   ([`qspr_fabric::GoalFields`]): one lazily filled `u32` row per
 //!   target segment and metric, shared through the `Arc<Fabric>` by
 //!   every router — each MVFB pass's mapper run, every `Flow::run`,
-//!   service worker and `--jobs` thread. A row is computed at most
+//!   service worker and MVFB seed worker. A row is computed at most
 //!   once per fabric; a `Router` only fetches its metric's table at
 //!   construction.
 //!
@@ -73,6 +73,13 @@
 //! marks all live in generation-stamped arrays, and each iteration
 //! re-routes only the movers that actually cross a conflicted
 //! resource.
+//!
+//! Routing is single-threaded. An epoch carries at most a couple of
+//! movers, far too little work to split across threads, so `--jobs`
+//! runs the placer's independent MVFB seeds concurrently instead
+//! (`qspr_place`), each seed with its own engines.
+//! [`RoutingEngine::set_parallelism`] survives only as a hint that the
+//! built-in engines ignore.
 //!
 //! # Examples
 //!
@@ -97,7 +104,6 @@
 //! ```
 
 pub mod engine;
-mod par;
 mod plan;
 // Test-only: keeps `proptest` a dev-dependency and the module out of
 // release builds entirely (the file's inner `#![cfg(test)]` alone would

@@ -61,20 +61,24 @@ impl<'a> Mapper<'a> {
         self.router.name()
     }
 
-    /// Grants the routing engine up to `jobs` worker threads for
-    /// intra-epoch parallelism (default 1). Purely a performance hint
-    /// — mapping results are byte-identical at every value, see
-    /// [`RoutingEngine::set_parallelism`](qspr_route::RoutingEngine::set_parallelism).
+    /// Grants up to `jobs` worker threads (default 1) to the placers
+    /// driving this mapper: MVFB and Monte Carlo map their independent
+    /// seeds concurrently, and [`Mapper::map`] itself stays
+    /// single-threaded. Purely a performance hint — placer results are
+    /// byte-identical at every value.
     ///
     /// Clamped to at least 1 and at most the host's available
-    /// parallelism: granting more workers than cores cannot overlap
-    /// anything and only adds speculation overhead (rejected
-    /// speculative rounds are recomputed sequentially), so an
-    /// oversubscribed grant would make mapping strictly slower.
+    /// parallelism: more workers than cores cannot overlap anything,
+    /// they only add thread start-up and contention.
     pub fn jobs(mut self, jobs: usize) -> Mapper<'a> {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.jobs = jobs.clamp(1, cores);
         self
+    }
+
+    /// The clamped worker-thread grant set by [`Mapper::jobs`].
+    pub fn job_count(&self) -> usize {
+        self.jobs
     }
 
     /// Enables or disables micro-command trace recording (off by default;
@@ -321,8 +325,7 @@ impl<'m, 'a> Sim<'m, 'a> {
             .topo_order()
             .filter(|id| pending[id.index()] == 0)
             .collect();
-        let mut engine = mapper.router.build(topo, mapper.policy.router);
-        engine.set_parallelism(mapper.jobs);
+        let engine = mapper.router.build(topo, mapper.policy.router);
         Sim {
             defer_epoch: engine.refines(),
             epoch_plans: Vec::new(),
