@@ -1,16 +1,15 @@
-//! Parallel batch mapping: run the full QSPR comparison flow over a
-//! whole suite of circuits on a thread pool.
+//! Batch mapping: run the full QSPR comparison flow over a whole suite
+//! of circuits.
 //!
 //! The paper evaluates the mapper one benchmark at a time; reproducing
-//! Table 1/Table 2 (and any scaling study) means mapping many circuits,
-//! each of which is internally sequential but independent of the
-//! others. [`BatchMapper`] wraps a [`Flow`] — which owns its fabric, so
-//! there is no lifetime parameter to thread through — and fans a job
-//! list out over `N` worker threads with a lock-free work-stealing
-//! counter, records per-circuit wall time, and returns results **in
-//! input order** regardless of thread count or scheduling. Because the
-//! underlying flow is seed-determined, the reported latencies are
-//! identical at any thread count — only wall-clock time changes.
+//! Table 1/Table 2 (and any scaling study) means mapping many circuits.
+//! [`BatchMapper`] wraps a [`Flow`] — which owns its fabric, so there is
+//! no lifetime parameter to thread through — maps the job list **in
+//! input order**, and records per-circuit wall time. The circuits run
+//! one after another and each gets the flow's whole [`Flow::jobs`]
+//! budget, which the placer spends on its independent MVFB seeds.
+//! Because the flow is seed-determined, the reported latencies are
+//! identical at any `jobs` value; only wall-clock time changes.
 //!
 //! # Examples
 //!
@@ -26,19 +25,16 @@
 //!         "QUBIT a\nQUBIT b\nQUBIT c\nH a\nC-X a,b\nC-X b,c\n",
 //!     )?),
 //! ];
-//! let report = BatchMapper::new(Flow::on(Fabric::quale_45x85()).seeds(4))
-//!     .threads(2)
+//! let report = BatchMapper::new(Flow::on(Fabric::quale_45x85()).seeds(4).jobs(2))
 //!     .run(&jobs)?;
 //! assert_eq!(report.items.len(), 2);
 //! assert_eq!(report.items[0].name, "bell"); // input order preserved
+//! assert_eq!(report.threads, 2); // the flow's jobs budget
 //! # Ok(())
 //! # }
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use qspr_qasm::Program;
@@ -84,7 +80,7 @@ pub struct BatchItem {
     pub name: String,
     /// Ideal baseline vs QUALE vs QSPR latencies (a Table 2 row).
     pub row: ComparisonRow,
-    /// Wall-clock time this circuit took on its worker thread.
+    /// Wall-clock time this circuit took to map.
     pub cpu: Duration,
 }
 
@@ -128,20 +124,22 @@ impl std::error::Error for BatchError {
 pub struct BatchReport {
     /// Per-circuit results, **in input order**.
     pub items: Vec<BatchItem>,
-    /// Worker threads actually used.
+    /// The thread budget each circuit was mapped with
+    /// ([`Flow::job_count`]).
     pub threads: usize,
     /// End-to-end wall-clock time of the whole batch.
     pub wall: Duration,
 }
 
 impl BatchReport {
-    /// Sum of per-circuit worker times (the sequential cost estimate).
+    /// Sum of per-circuit times.
     pub fn total_cpu(&self) -> Duration {
         self.items.iter().map(|i| i.cpu).sum()
     }
 
-    /// Parallel speedup: total worker time over wall time (≈1 with one
-    /// thread, approaching `threads` for balanced suites).
+    /// Total per-circuit time over wall time. Circuits map one after
+    /// another, so this stays ≈1 at every `threads` value; the seed
+    /// parallelism shows up as a shorter `wall` instead.
     pub fn speedup(&self) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall == 0.0 {
@@ -177,7 +175,7 @@ impl ToJson for BatchReport {
     }
 }
 
-/// Maps a suite of circuits in parallel with deterministic results.
+/// Maps a suite of circuits in input order with deterministic results.
 ///
 /// Owns its [`Flow`] (and through it the fabric), so it has no lifetime
 /// parameter and can itself move across threads or into long-lived
@@ -185,108 +183,51 @@ impl ToJson for BatchReport {
 #[derive(Debug, Clone)]
 pub struct BatchMapper {
     flow: Flow,
-    threads: usize,
 }
 
 impl BatchMapper {
-    /// Creates a batch mapper running `flow` on all available CPUs.
+    /// Creates a batch mapper running `flow` on every circuit.
     pub fn new(flow: Flow) -> BatchMapper {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        BatchMapper { flow, threads }
+        BatchMapper { flow }
     }
 
-    /// Sets the worker thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> BatchMapper {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker thread count.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// The flow each worker runs.
+    /// The flow each circuit runs.
     pub fn flow(&self) -> &Flow {
         &self.flow
     }
 
     /// Runs the full comparison flow (ideal baseline, QUALE, QSPR) on
-    /// every job, fanned out over the thread pool.
+    /// every job in input order, each with the flow's whole
+    /// [`Flow::jobs`] budget.
     ///
-    /// Results come back in input order; latencies are independent of
-    /// the thread count because the flow is seed-determined. An empty
-    /// job list yields an empty report.
+    /// Latencies are independent of the budget because the flow is
+    /// seed-determined. An empty job list yields an empty report.
     ///
     /// # Errors
     ///
-    /// Returns the [`BatchError`] of the **earliest** (by input order)
-    /// failing circuit — also independent of the thread count. On the
-    /// first failure, unclaimed jobs are cancelled rather than mapped
-    /// to completion (in-flight jobs finish). This cannot change which
-    /// error is reported: the work counter hands out indices in input
-    /// order, so every job earlier than a failing one was already
-    /// claimed and completes.
+    /// Returns the [`BatchError`] of the first failing circuit; later
+    /// circuits are not mapped.
     pub fn run(&self, jobs: &[BatchJob]) -> Result<BatchReport, BatchError> {
         let started = Instant::now();
-        let threads = self.threads.min(jobs.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let slots: Vec<Mutex<Option<Result<BatchItem, BatchError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // Workers share the flow immutably; the fabric
-                    // behind its Arc is read-only.
-                    let flow = &self.flow;
-                    while !cancelled.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let t0 = Instant::now();
-                        let result = flow
-                            .compare(&job.name, &job.program)
-                            .map(|row| BatchItem {
-                                name: job.name.clone(),
-                                row,
-                                cpu: t0.elapsed(),
-                            })
-                            .map_err(|source| BatchError {
-                                circuit: job.name.clone(),
-                                source,
-                            });
-                        if result.is_err() {
-                            cancelled.store(true, Ordering::Relaxed);
-                        }
-                        *slots[i].lock().expect("no worker panics holding it") = Some(result);
-                    }
-                });
-            }
-        });
-
         let mut items = Vec::with_capacity(jobs.len());
-        let mut first_error = None;
-        for slot in slots {
-            match slot.into_inner().expect("no worker panics holding it") {
-                Some(Ok(item)) => items.push(item),
-                Some(Err(e)) => {
-                    first_error = Some(e);
-                    break;
-                }
-                // Unfilled slots are the cancelled tail; the loop above
-                // reaches one only after passing the error that caused
-                // the cancellation — or never, when all jobs ran.
-                None => break,
-            }
+        for job in jobs {
+            let t0 = Instant::now();
+            let row = self
+                .flow
+                .compare(&job.name, &job.program)
+                .map_err(|source| BatchError {
+                    circuit: job.name.clone(),
+                    source,
+                })?;
+            items.push(BatchItem {
+                name: job.name.clone(),
+                row,
+                cpu: t0.elapsed(),
+            });
         }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        debug_assert_eq!(items.len(), jobs.len(), "no error, so every job ran");
         Ok(BatchReport {
             items,
-            threads,
+            threads: self.flow.job_count(),
             wall: started.elapsed(),
         })
     }
@@ -329,7 +270,7 @@ mod tests {
     #[test]
     fn results_preserve_input_order() {
         let jobs = jobs(5);
-        let report = BatchMapper::new(fast_flow()).threads(3).run(&jobs).unwrap();
+        let report = BatchMapper::new(fast_flow().jobs(3)).run(&jobs).unwrap();
         let names: Vec<&str> = report.items.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, ["rand0", "rand1", "rand2", "rand3", "rand4"]);
         for item in &report.items {
@@ -340,10 +281,10 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_latencies() {
         let jobs = jobs(6);
-        let mapper = BatchMapper::new(fast_flow());
-        let serial = mapper.clone().threads(1).run(&jobs).unwrap();
-        let parallel = mapper.threads(8).run(&jobs).unwrap();
+        let serial = BatchMapper::new(fast_flow().jobs(1)).run(&jobs).unwrap();
+        let parallel = BatchMapper::new(fast_flow().jobs(8)).run(&jobs).unwrap();
         assert_eq!(serial.threads, 1);
+        assert_eq!(parallel.threads, 8);
         let serial_rows: Vec<_> = serial.items.iter().map(|i| &i.row).collect();
         let parallel_rows: Vec<_> = parallel.items.iter().map(|i| &i.row).collect();
         assert_eq!(serial_rows, parallel_rows);
@@ -351,11 +292,9 @@ mod tests {
 
     #[test]
     fn failures_name_the_earliest_offending_circuit() {
-        // Zero MVFB seeds stalls every circuit; regardless of which
-        // worker fails first, the reported error must belong to the
-        // earliest job in input order.
-        let err = BatchMapper::new(fast_flow().seeds(0))
-            .threads(4)
+        // Zero MVFB seeds stalls every circuit; the reported error must
+        // belong to the earliest job in input order.
+        let err = BatchMapper::new(fast_flow().seeds(0).jobs(4))
             .run(&jobs(5))
             .unwrap_err();
         assert_eq!(err.circuit, "rand0");

@@ -5,7 +5,7 @@
 //! qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--sta-feedback] [--fabric F] [--format FMT]
 //! qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-//! qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
+//! qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr serve [--addr A] [--threads T] [--cache N] [--cache-shards S] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
 //! qspr fabric [--fabric F]
 //! qspr encode <CODE>
@@ -15,10 +15,11 @@
 //! `--fabric` takes `quale45x85` (default) or a path to a fabric file —
 //! a JSON `FabricSpec` document or plain ASCII art (auto-detected); `--router` is `greedy` (default), `negotiated`
 //! (PathFinder-style rip-up-and-reroute) or `race` (run both engines —
-//! and the slack-feedback pilot under `--sta-feedback` — concurrently
-//! and keep the lowest latency); `--jobs N` grants the run N worker
-//! threads for MVFB seeds and race legs, with byte-identical output at
-//! every N; `--format` is `text`
+//! and the slack-feedback pilot under `--sta-feedback` — one after the
+//! other and keep the lowest latency); `--jobs N` grants each mapping
+//! run N worker threads for its MVFB seeds, with byte-identical output
+//! at every N (`batch` defaults to every core, the other commands to
+//! 1); each subcommand rejects flags it does not read; `--format` is `text`
 //! (default) or `json` (stable machine-readable schema); `CODE` is one
 //! of `5,1,3`, `7,1,3`, `9,1,3`, `14,8,3`, `19,1,7`, `23,1,7`.
 //!
@@ -108,7 +109,7 @@ usage:
   qspr sta <file.qasm> [--policy P] [--router R] [--m N] [--jobs N] [--sta-feedback] [--fabric F] [--format FMT]
   qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-  qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--threads T] [--fabric F] [--format FMT]
+  qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr serve [--addr A] [--threads T] [--cache N] [--cache-shards S] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
   qspr fabric [--fabric F]
   qspr encode <CODE>          (5,1,3 | 7,1,3 | 9,1,3 | 14,8,3 | 19,1,7 | 23,1,7)
@@ -119,8 +120,8 @@ options:
   --policy P    mapper policy for `map` (default qspr)
   --router R    routing engine: greedy (default), negotiated or race
   --m N         MVFB seed count (default 25)
-  --jobs N      worker threads per mapping run (default 1; identical output at any N)
-  --threads T   worker threads for `batch`/`serve` (default: all CPUs)
+  --jobs N      worker threads per mapping run (default 1, batch: all CPUs; identical output at any N)
+  --threads T   serve: request worker threads (default: all CPUs)
   --format FMT  output format: text (default) or json
   --suite       add the paper's six benchmark circuits to the batch
   --trace       print the micro-command trace after mapping
@@ -377,16 +378,42 @@ fn run(args: &[String]) -> Result<(), QsprError> {
         return Err(QsprError::usage("missing command"));
     };
     let cli = Cli::parse(&args[1..])?;
-    match command.as_str() {
-        "map" => cmd_map(&cli),
-        "sta" => cmd_sta(&cli),
-        "compare" => cmd_compare(&cli),
-        "suite" => cmd_suite(&cli),
-        "batch" => cmd_batch(&cli),
-        "serve" => cmd_serve(&cli),
-        "fabric" => cmd_fabric(&cli),
-        "encode" => cmd_encode(&cli),
-        other => Err(QsprError::usage(format!("unknown command {other:?}"))),
+    dispatch(command, &cli)?(&cli)
+}
+
+/// A subcommand's entry point.
+type Command = fn(&Cli) -> Result<(), QsprError>;
+
+/// Resolves `command` to its entry point, rejecting any flag on `cli`
+/// that the subcommand does not read: a usage error, never a silently
+/// ignored option.
+fn dispatch(command: &str, cli: &Cli) -> Result<Command, QsprError> {
+    // The flags of each usage line.
+    let (handler, flags): (Command, &str) = match command {
+        "map" => (
+            cmd_map,
+            "--policy --router --m --jobs --trace --sta --sta-feedback --dump-trace --profile \
+             --fabric --format",
+        ),
+        "sta" => (
+            cmd_sta,
+            "--policy --router --m --jobs --sta-feedback --fabric --format",
+        ),
+        "compare" => (cmd_compare, "--router --m --jobs --fabric --format"),
+        "suite" => (cmd_suite, "--router --m --jobs --fabric --format"),
+        "batch" => (cmd_batch, "--suite --router --m --jobs --fabric --format"),
+        "serve" => (
+            cmd_serve,
+            "--addr --threads --cache --cache-shards --max-queue --keep-alive --log --fabric",
+        ),
+        "fabric" => (cmd_fabric, "--fabric"),
+        "encode" => (cmd_encode, ""),
+        other => return Err(QsprError::usage(format!("unknown command {other:?}"))),
+    };
+    let reads = |flag: &str| flags.split_whitespace().any(|f| f == flag);
+    match cli.options.iter().find(|(flag, _)| !reads(flag)) {
+        Some((flag, _)) => Err(QsprError::usage(format!("{command} does not take {flag}"))),
+        None => Ok(handler),
     }
 }
 
@@ -567,11 +594,13 @@ fn cmd_batch(cli: &Cli) -> Result<(), QsprError> {
         return Err(QsprError::usage("batch needs QASM files and/or --suite"));
     }
     let format = cli.format()?;
-    let mut mapper = BatchMapper::new(cli.flow()?);
-    if let Some(threads) = cli.threads()? {
-        mapper = mapper.threads(threads);
+    let mut flow = cli.flow()?;
+    if cli.value("--jobs").is_none() {
+        // A batch is a throughput run: by default its seed workers get
+        // every core (the mapper clamps `jobs` to the host anyway).
+        flow = flow.jobs(std::thread::available_parallelism().map_or(1, |n| n.get()));
     }
-    let report = mapper.run(&jobs)?;
+    let report = BatchMapper::new(flow).run(&jobs)?;
     match format {
         OutputFormat::Json => outln!("{}", report.to_json()),
         OutputFormat::Text => {
@@ -606,9 +635,10 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     let cache_capacity = cli.cache()?;
     // Per-request "jobs" budget: the worker pool already fans out
     // across requests, so each request gets at most its fair share of
-    // the host's cores — pool threads times intra-map jobs can never
-    // oversubscribe. Clamping is safe because jobs never changes
-    // response bytes.
+    // the host's cores. Every endpoint, `/batch` included, maps with
+    // at most that many seed workers at a time, so pool threads times
+    // jobs can never oversubscribe. Clamping is safe because jobs never
+    // changes response bytes.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs_budget = (cores / config.threads.max(1)).max(1);
     let service = Arc::new(
@@ -886,6 +916,46 @@ mod tests {
             .unwrap()
             .threads()
             .is_err());
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_read() {
+        let check = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            dispatch(&args[0], &Cli::parse(&args[1..]).unwrap())
+        };
+        // The reproduction of a silently ignored line: the first flag
+        // `suite` does not read is named. (`batch --threads` and the
+        // exit path are covered end to end in tests/cli.rs.)
+        let err = check("suite --m 1 --threads 8 --trace --dump-trace f").unwrap_err();
+        assert!(matches!(err, QsprError::Usage(_)));
+        assert_eq!(err.to_string(), "suite does not take --threads");
+        for line in [
+            "fabric --m 2",
+            "encode 5,1,3 --format json",
+            "serve --jobs 2",
+            "compare f.qasm --policy quale",
+            "sta f.qasm --profile",
+        ] {
+            assert!(check(line).is_err(), "{line} accepted");
+        }
+        // Every documented flag, the CI invocations and the benchmark's
+        // serve line are still accepted.
+        for line in [
+            "map f.qasm --policy qpos --router race --m 4 --jobs 4 --trace --sta --sta-feedback \
+             --dump-trace t.json --profile --fabric s.json --format json",
+            "sta f.qasm --policy qspr --router negotiated --sta-feedback --m 4 --jobs 2 \
+             --fabric s.json --format json",
+            "compare f.qasm --router race --m 4 --jobs 4 --fabric s.json --format json",
+            "suite --router race --m 2 --jobs 2 --fabric s.json --format json",
+            "batch a.qasm --suite --router negotiated --m 4 --jobs 2 --fabric s.json --format json",
+            "serve --addr 127.0.0.1:0 --threads 4 --cache 100000 --max-queue 4096",
+            "serve --cache-shards 8 --keep-alive 30 --log --fabric s.json",
+            "fabric --fabric s.json",
+            "encode 5,1,3",
+        ] {
+            assert!(check(line).is_ok(), "{line} rejected");
+        }
     }
 
     #[test]

@@ -224,8 +224,9 @@ impl Flow {
     /// Grants the flow up to `jobs` worker threads (clamped to at
     /// least 1; default 1): the placer maps its independent MVFB seeds
     /// (or Monte Carlo runs) concurrently, with the mapper clamping the
-    /// grant to the host's cores, and `--router race` runs its engine
-    /// legs concurrently.
+    /// grant to the host's cores. Code that runs several flows —
+    /// `--router race` legs, [`crate::BatchMapper`] circuits — runs them
+    /// one after another, each with this whole budget.
     /// Purely a performance hint — results are byte-identical at every
     /// value, so `jobs` is deliberately *not* a [`Flow::fingerprint`]
     /// axis and cached answers remain valid across thread counts.
@@ -462,8 +463,9 @@ impl Flow {
     /// with the lowest latency, breaking ties toward the earlier leg in
     /// the fixed `[greedy, negotiated, negotiated+sta]` order. Every
     /// leg is seed-deterministic and the winner is chosen by a pure
-    /// config-order rule, so the race result is byte-identical whether
-    /// the legs run sequentially (`jobs = 1`) or concurrently.
+    /// config-order rule. The legs run one after another, each with the
+    /// flow's whole [`Flow::jobs`] budget, so the race result is
+    /// byte-identical at every `jobs` value.
     fn run_race(&self, program: &Program) -> Result<FlowResult, QsprError> {
         let run_started = Instant::now();
         let _race = qspr_obs::span("race");
@@ -475,39 +477,12 @@ impl Flow {
         if self.sta_feedback {
             legs.push(base.router(RouterKind::Negotiated).sta_feedback(true));
         }
-        let results: Vec<Result<FlowResult, QsprError>> = if self.jobs > 1 {
-            let relay = qspr_obs::Relay::capture();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = legs
-                    .iter()
-                    .map(|leg| {
-                        let relay = relay.clone();
-                        scope.spawn(move || {
-                            let _sink = relay.install();
-                            let _leg = qspr_obs::span("race_leg");
-                            leg.run(program)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("race leg panicked"))
-                    .collect()
-            })
-        } else {
-            legs.iter()
-                .map(|leg| {
-                    let _leg = qspr_obs::span("race_leg");
-                    leg.run(program)
-                })
-                .collect()
-        };
-        // Every leg always runs to completion; the earliest error in
-        // leg order wins error reporting, the lowest latency (earliest
-        // leg on ties) wins the race.
+        // The earliest error in leg order is reported; the lowest
+        // latency (earliest leg on ties) wins the race.
         let mut best: Option<FlowResult> = None;
-        for result in results {
-            let result = result?;
+        for leg in &legs {
+            let _leg = qspr_obs::span("race_leg");
+            let result = leg.run(program)?;
             let better = match &best {
                 Some(b) => result.latency < b.latency,
                 None => true,

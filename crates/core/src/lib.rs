@@ -22,9 +22,9 @@
 //!   [`FlowSummary`];
 //! * [`QsprError`] — the workspace-wide error enum wrapping parse,
 //!   fabric, mapping, batch and I/O failures;
-//! * [`BatchMapper`] — the same flow over a whole suite of circuits on
-//!   a thread pool, with per-circuit timing and deterministic,
-//!   input-ordered results at any thread count;
+//! * [`BatchMapper`] — the same flow over a whole suite of circuits in
+//!   input order, with per-circuit timing and deterministic results at
+//!   any [`Flow::jobs`] budget;
 //! * [`ComparisonRow`] / [`PlacerComparisonRow`] — the rows of the
 //!   paper's Table 2 and Table 1, JSON-serializable via [`json::ToJson`]
 //!   like every other report type;

@@ -46,11 +46,10 @@
 //! flag of `qspr map`); it never changes response bytes, and the
 //! service clamps it to [`MapService::jobs_budget`] so concurrent
 //! request workers times intra-map threads cannot oversubscribe the
-//! host. `POST /batch` runs its programs through
-//! [`crate::BatchMapper`] under the same clamp, consults
+//! host. `POST /batch` runs its programs one after another through
+//! [`crate::BatchMapper`], each with the same clamped budget, consults
 //! the cache per circuit (its items share cache entries with
-//! `/compare`), and replies with one input-ordered array however the
-//! pool scheduled the work. The optional `"fabric"` field carries a
+//! `/compare`), and replies with one input-ordered array. The optional `"fabric"` field carries a
 //! fabric description *document* (a JSON [`qspr_fabric::FabricSpec`]
 //! embedded as a string, or ASCII art) and maps that request onto the
 //! described fabric instead of the server's resident one; a malformed
@@ -632,7 +631,7 @@ impl MapService {
             Ok(request) => request,
             Err(e) => return error_response(400, &e.to_string()),
         };
-        // The budget clamp keeps batch-level concurrency (the worker
+        // The budget clamp keeps request-level concurrency (the worker
         // pool) times intra-map parallelism bounded no matter what the
         // body asked for; results are byte-identical at every value.
         request.jobs = request.jobs.min(self.jobs_budget);
@@ -745,7 +744,7 @@ impl MapService {
                     BatchJob::new(name.clone(), program.clone())
                 })
                 .collect();
-            let report = match BatchMapper::new(flow).threads(request.jobs).run(&jobs) {
+            let report = match BatchMapper::new(flow).run(&jobs) {
                 Ok(report) => report,
                 Err(e) => return error_response(422, &e.to_string()),
             };

@@ -1,5 +1,6 @@
-//! The `qspr` binary against a reader that closes the pipe early, as in
-//! `qspr fabric | head -1`: the CLI must stop quietly, never panic.
+//! The `qspr` binary end to end: against a reader that closes the pipe
+//! early, as in `qspr fabric | head -1` (the CLI must stop quietly,
+//! never panic), and against flags its subcommand does not read.
 
 use std::io::Read;
 use std::process::{Command, ExitStatus, Stdio};
@@ -41,4 +42,31 @@ fn closed_stdout_ends_quietly() {
             );
         }
     }
+}
+
+#[test]
+fn unread_flags_are_usage_errors() {
+    let dump = std::env::temp_dir().join(format!("qspr-unread-{}.json", std::process::id()));
+    let dump = dump.to_str().expect("UTF-8 temp path");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["batch", "--suite", "--m", "1", "--threads", "2"],
+            "batch does not take --threads",
+        ),
+        (
+            &["suite", "--m", "1", "--dump-trace", dump],
+            "suite does not take --dump-trace",
+        ),
+    ];
+    for (args, message) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_qspr"))
+            .args(args)
+            .output()
+            .expect("run qspr");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "qspr {args:?} succeeded");
+        assert!(stderr.contains(message), "qspr {args:?}:\n{stderr}");
+        assert!(output.stdout.is_empty(), "qspr {args:?} mapped anyway");
+    }
+    assert!(!std::path::Path::new(dump).exists(), "no trace is written");
 }

@@ -171,8 +171,8 @@ impl Drop for SpanGuard {
 /// A captured span context for carrying the calling thread's sink and
 /// innermost open span into worker threads.
 ///
-/// Parallel sections (MVFB seed workers, engine racing) run work on
-/// scoped threads, but spans are delivered to per-thread sinks and
+/// Parallel sections (MVFB seed and Monte Carlo run workers) run work
+/// on scoped threads, but spans are delivered to per-thread sinks and
 /// parented by a per-thread stack — a worker would either record
 /// nothing (thread-local sink elsewhere) or start a fresh root tree.
 /// `Relay::capture` snapshots the active sink *and* the innermost open

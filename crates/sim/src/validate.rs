@@ -20,7 +20,8 @@ use crate::trace::{MicroCommand, Trace};
 /// * gates execute in trap cells with all operands present and at most
 ///   two qubits co-located;
 /// * instantaneous channel-segment and junction occupancy never exceeds
-///   the technology capacities;
+///   the resource's capacity: its fabric override where one is set,
+///   else the technology default (the rule the routers use);
 /// * every gate's end follows its start by exactly the gate delay.
 ///
 /// # Errors
@@ -62,6 +63,16 @@ pub fn validate_trace(
     // Instantaneous occupancy per segment / junction.
     let mut seg_occ = vec![0u8; topo.segments().len()];
     let mut jct_occ = vec![0u8; topo.junctions().len()];
+    let seg_cap: Vec<u8> = topo
+        .segment_caps()
+        .iter()
+        .map(|c| c.unwrap_or(tech.channel_capacity))
+        .collect();
+    let jct_cap: Vec<u8> = topo
+        .junction_caps()
+        .iter()
+        .map(|c| c.unwrap_or(tech.junction_capacity))
+        .collect();
     let mut open_gates: HashMap<InstrId, Time> = HashMap::new();
     let mut last_time: Time = 0;
 
@@ -96,13 +107,13 @@ pub fn validate_trace(
                 pos[q] = to;
                 if let Some(s) = new_seg {
                     seg_occ[s] += 1;
-                    if seg_occ[s] > tech.channel_capacity {
+                    if seg_occ[s] > seg_cap[s] {
                         return Err(TraceError::ChannelOverflow { index });
                     }
                 }
                 if let Some(j) = new_jct {
                     jct_occ[j] += 1;
-                    if jct_occ[j] > tech.junction_capacity {
+                    if jct_occ[j] > jct_cap[j] {
                         return Err(TraceError::JunctionOverflow { index });
                     }
                 }
@@ -176,6 +187,7 @@ mod tests {
     use crate::engine::Mapper;
     use crate::policy::MapperPolicy;
     use crate::trace::TraceEntry;
+    use qspr_fabric::SegmentId;
     use qspr_qasm::Gate;
 
     const FIG3: &str = "\
@@ -230,6 +242,83 @@ C-Z q4,q0
     #[test]
     fn qpos_traces_validate() {
         mapped_trace(MapperPolicy::qpos);
+    }
+
+    /// A heterogeneous spec fabric: a wide row-0 trunk and a narrow
+    /// column-4 channel around the default-capacity core.
+    const MIXED_SPEC: &str = r#"{
+      "name": "mixed",
+      "types": [
+        {"name": "trunk", "kind": "channel", "capacity": 4},
+        {"name": "narrow", "kind": "channel", "capacity": 1}
+      ],
+      "regions": [{"family": "regular", "rows": 13, "cols": 13, "pitch": 4}],
+      "capacities": [
+        {"type": "trunk", "rect": [0, 1, 0, 11]},
+        {"type": "narrow", "rect": [1, 4, 3, 4]}
+      ]
+    }"#;
+
+    /// `fabric` with every override kept and the cells of `tight`
+    /// narrowed to capacity 1.
+    fn tightened(fabric: &Fabric, tight: SegmentId) -> Fabric {
+        let topo = fabric.topology();
+        let mut cells = Vec::new();
+        let mut caps = Vec::new();
+        for row in 0..fabric.rows() {
+            for col in 0..fabric.cols() {
+                let at = Coord::new(row, col);
+                cells.push(fabric.cell(at));
+                caps.push(match (topo.channel_at(at), topo.junction_at(at)) {
+                    (Some((s, _)), _) if s == tight => Some(1),
+                    (Some((s, _)), _) => topo.segment_cap(s),
+                    (None, Some(j)) => topo.junction_cap(j),
+                    (None, None) => None,
+                });
+            }
+        }
+        let (rows, cols) = (fabric.rows() as usize, fabric.cols() as usize);
+        Fabric::with_capacities(rows, cols, cells, &caps).unwrap()
+    }
+
+    #[test]
+    fn capacity_overrides_bound_occupancy() {
+        let fabric = Fabric::parse(MIXED_SPEC).unwrap();
+        assert!(fabric.topology().has_capacity_overrides());
+        let tech = TechParams::date2012();
+        let program = Program::parse(FIG3).unwrap();
+        let placement = Placement::center(&fabric, 5);
+        let outcome = Mapper::new(&fabric, tech, MapperPolicy::qspr(&tech))
+            .record_trace(true)
+            .map(&program, &placement)
+            .unwrap();
+        let trace = outcome.trace().unwrap();
+        validate_trace(&fabric, &program, &placement, trace, &tech).unwrap();
+
+        // The first segment the trace fills with two ions at once.
+        let topo = fabric.topology();
+        let mut pos: Vec<Coord> = placement
+            .as_slice()
+            .iter()
+            .map(|&t| topo.trap(t).coord())
+            .collect();
+        let shared = trace
+            .iter()
+            .find_map(|entry| {
+                let MicroCommand::Move { qubit, to, .. } = entry.command else {
+                    return None;
+                };
+                pos[qubit.index()] = to;
+                let (seg, _) = topo.channel_at(to)?;
+                let here = pos
+                    .iter()
+                    .filter(|&&p| topo.channel_at(p).map(|c| c.0) == Some(seg));
+                (here.count() > 1).then_some(seg)
+            })
+            .expect("two ions share a channel segment");
+        let tight = tightened(&fabric, shared);
+        let err = validate_trace(&tight, &program, &placement, trace, &tech).unwrap_err();
+        assert!(matches!(err, TraceError::ChannelOverflow { .. }), "{err:?}");
     }
 
     #[test]

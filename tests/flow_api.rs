@@ -187,8 +187,7 @@ fn flow_errors_carry_their_layer() {
     assert!(matches!(parse_err, QsprError::Parse(_)));
 
     // Batch failure names the circuit and nests the flow error.
-    let err = BatchMapper::new(flow)
-        .threads(2)
+    let err = BatchMapper::new(flow.jobs(2))
         .run(&[BatchJob::new("doomed", fig3_program())])
         .unwrap_err();
     assert_eq!(err.circuit, "doomed");
@@ -213,8 +212,7 @@ fn report_json_is_stable_across_the_api() {
         .expect("places");
     assert!(placer_row.to_json().contains(r#""mvfb_wins":"#));
 
-    let report = BatchMapper::new(flow)
-        .threads(2)
+    let report = BatchMapper::new(flow.jobs(2))
         .run(&[BatchJob::new(bench.name.clone(), bench.program.clone())])
         .expect("maps");
     let json = report.to_json();

@@ -150,7 +150,7 @@ fn quale_overhead_grows_with_circuit_size() {
 #[test]
 fn batch_mapping_is_deterministic_across_thread_counts() {
     // The BatchMapper contract: per-circuit results are identical at
-    // --threads 1 and --threads N, and come back in input order.
+    // --jobs 1 and --jobs N, and come back in input order.
     use qspr::{BatchJob, BatchMapper};
     use qspr_qasm::{random_program, RandomProgramConfig};
 
@@ -164,9 +164,12 @@ fn batch_mapping_is_deterministic_across_thread_counts() {
         .collect();
     jobs.push(BatchJob::from(benchmark_suite().swap_remove(0)));
 
-    let mapper = BatchMapper::new(fast_flow());
-    let serial = mapper.clone().threads(1).run(&jobs).expect("maps");
-    let parallel = mapper.threads(8).run(&jobs).expect("maps");
+    let serial = BatchMapper::new(fast_flow().jobs(1))
+        .run(&jobs)
+        .expect("maps");
+    let parallel = BatchMapper::new(fast_flow().jobs(8))
+        .run(&jobs)
+        .expect("maps");
 
     assert_eq!(serial.items.len(), jobs.len());
     for (job, (s, p)) in jobs
@@ -176,7 +179,7 @@ fn batch_mapping_is_deterministic_across_thread_counts() {
         assert_eq!(s.name, job.name, "input order preserved");
         assert_eq!(
             s.row, p.row,
-            "{}: thread count changed the result",
+            "{}: the jobs budget changed the result",
             job.name
         );
     }
@@ -186,8 +189,7 @@ fn batch_mapping_is_deterministic_across_thread_counts() {
 fn batch_mapping_of_an_empty_suite_is_empty() {
     use qspr::BatchMapper;
 
-    let report = BatchMapper::new(fast_flow())
-        .threads(4)
+    let report = BatchMapper::new(fast_flow().jobs(4))
         .run(&[])
         .expect("empty batch is fine");
     assert!(report.items.is_empty());
