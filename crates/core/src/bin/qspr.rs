@@ -6,7 +6,7 @@
 //! qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
 //! qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-//! qspr serve [--addr A] [--threads T] [--cache N] [--cache-shards S] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
+//! qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
 //! qspr fabric [--fabric F]
 //! qspr encode <CODE>
 //! qspr version
@@ -41,8 +41,8 @@
 //! `GET /stats`, `GET /metrics` (Prometheus text format),
 //! `POST /shutdown`. Connections are keep-alive by default
 //! (`--keep-alive SECS` idle timeout, 0 restores close-per-request),
-//! results come from a sharded LRU cache (`--cache N` entries across
-//! `--cache-shards S` locks, 0 disables), and each heavy endpoint
+//! results come from one LRU cache behind one lock (`--cache N`
+//! entries, 0 disables), and each heavy endpoint
 //! admits at most `--max-queue Q` queued requests before answering
 //! `429 Too Many Requests` with `Retry-After`. `--log` writes one
 //! structured access-log line per request to stderr.
@@ -52,7 +52,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use qspr::json::JsonArray;
-use qspr::service::{CacheConfig, MapService, ServeConfig, Server};
+use qspr::service::{MapService, ServeConfig, Server};
 use qspr::{BatchJob, BatchMapper, Flow, FlowPolicy, QsprError, RouterKind, ToJson};
 use qspr_fabric::Fabric;
 use qspr_qasm::Program;
@@ -110,7 +110,7 @@ usage:
   qspr compare <file.qasm> [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr suite [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
   qspr batch [files...] [--suite] [--router R] [--m N] [--jobs N] [--fabric F] [--format FMT]
-  qspr serve [--addr A] [--threads T] [--cache N] [--cache-shards S] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
+  qspr serve [--addr A] [--threads T] [--cache N] [--max-queue Q] [--keep-alive SECS] [--log] [--fabric F]
   qspr fabric [--fabric F]
   qspr encode <CODE>          (5,1,3 | 7,1,3 | 9,1,3 | 14,8,3 | 19,1,7 | 23,1,7)
   qspr version
@@ -131,7 +131,6 @@ options:
   --profile     map: trace the run and report per-phase times and the span tree
   --addr A      serve: bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --cache N     serve: result-cache capacity in entries (default 128, 0 = off)
-  --cache-shards S  serve: lock shards in the result cache (default 8)
   --max-queue Q serve: queued requests per heavy endpoint before 429 (default 256)
   --keep-alive SECS  serve: idle connection timeout (default 30; 0 = close per request)
   --log         serve: one structured access-log line per request on stderr
@@ -154,7 +153,7 @@ struct Cli {
 
 impl Cli {
     fn parse(args: &[String]) -> Result<Cli, QsprError> {
-        const VALUE_FLAGS: [&str; 13] = [
+        const VALUE_FLAGS: [&str; 12] = [
             "--fabric",
             "--policy",
             "--router",
@@ -164,7 +163,6 @@ impl Cli {
             "--format",
             "--addr",
             "--cache",
-            "--cache-shards",
             "--max-queue",
             "--keep-alive",
             "--dump-trace",
@@ -257,18 +255,6 @@ impl Cli {
             Some(v) => v.parse().map_err(|_| {
                 QsprError::usage(format!("--cache expects a number of entries, got {v:?}"))
             }),
-        }
-    }
-
-    fn cache_shards(&self) -> Result<usize, QsprError> {
-        match self.value("--cache-shards") {
-            None => Ok(8),
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(QsprError::usage(format!(
-                    "--cache-shards expects a positive number, got {v:?}"
-                ))),
-            },
         }
     }
 
@@ -404,7 +390,7 @@ fn dispatch(command: &str, cli: &Cli) -> Result<Command, QsprError> {
         "batch" => (cmd_batch, "--suite --router --m --jobs --fabric --format"),
         "serve" => (
             cmd_serve,
-            "--addr --threads --cache --cache-shards --max-queue --keep-alive --log --fabric",
+            "--addr --threads --cache --max-queue --keep-alive --log --fabric",
         ),
         "fabric" => (cmd_fabric, "--fabric"),
         "encode" => (cmd_encode, ""),
@@ -641,14 +627,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     // changes response bytes.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs_budget = (cores / config.threads.max(1)).max(1);
-    let service = Arc::new(
-        MapService::new(cli.fabric()?, cache_capacity)
-            .with_cache(CacheConfig {
-                entries: cache_capacity,
-                shards: cli.cache_shards()?,
-            })
-            .with_jobs_budget(jobs_budget),
-    );
+    let service =
+        Arc::new(MapService::new(cli.fabric()?, cache_capacity).with_jobs_budget(jobs_budget));
     // Feed every pipeline span (parse, place, route epochs, sta, ...)
     // into the service registry as per-phase latency histograms, so
     // `GET /metrics` reports where mapping time goes. Global, because
@@ -665,10 +645,9 @@ fn cmd_serve(cli: &Cli) -> Result<(), QsprError> {
     // discover the ephemeral port), so it goes first on its own line.
     outln!("listening on http://{addr}/");
     outln!(
-        "threads {} | cache {} entries x {} shards | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, POST /batch, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
+        "threads {} | cache {} entries | keep-alive {}s | queue {} | POST /map, POST /compare, POST /sta, POST /batch, GET /healthz, GET /stats, GET /metrics, POST /shutdown",
         config.threads,
         cache_capacity,
-        service.cache().shard_count(),
         config.keep_alive_secs,
         config.max_queue,
     );
@@ -950,7 +929,7 @@ mod tests {
             "suite --router race --m 2 --jobs 2 --fabric s.json --format json",
             "batch a.qasm --suite --router negotiated --m 4 --jobs 2 --fabric s.json --format json",
             "serve --addr 127.0.0.1:0 --threads 4 --cache 100000 --max-queue 4096",
-            "serve --cache-shards 8 --keep-alive 30 --log --fabric s.json",
+            "serve --keep-alive 30 --log --fabric s.json",
             "fabric --fabric s.json",
             "encode 5,1,3",
         ] {
@@ -987,28 +966,16 @@ mod tests {
 
     #[test]
     fn front_end_flags_parse_and_validate() {
-        // Defaults: 8 shards, 256-deep admission queues, 30s keep-alive.
+        // Defaults: 256-deep admission queues, 30s keep-alive.
         let cli = Cli::parse(&[]).unwrap();
-        assert_eq!(cli.cache_shards().unwrap(), 8);
         assert_eq!(cli.max_queue().unwrap(), 256);
         assert_eq!(cli.keep_alive().unwrap(), 30);
-        let cli = Cli::parse(&strings(&[
-            "--cache-shards",
-            "4",
-            "--max-queue",
-            "2",
-            "--keep-alive",
-            "0",
-        ]))
-        .unwrap();
-        assert_eq!(cli.cache_shards().unwrap(), 4);
+        let cli = Cli::parse(&strings(&["--max-queue", "2", "--keep-alive", "0"])).unwrap();
         assert_eq!(cli.max_queue().unwrap(), 2);
         assert_eq!(cli.keep_alive().unwrap(), 0, "0 = close per request");
-        // Shards and queue depth must stay positive; keep-alive allows 0.
-        assert!(Cli::parse(&strings(&["--cache-shards", "0"]))
-            .unwrap()
-            .cache_shards()
-            .is_err());
+        // The cache is one map behind one lock: no shard knob.
+        assert!(Cli::parse(&strings(&["--cache-shards", "8"])).is_err());
+        // Queue depth must stay positive; keep-alive allows 0.
         assert!(Cli::parse(&strings(&["--max-queue", "0"]))
             .unwrap()
             .max_queue()

@@ -34,7 +34,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qspr_fabric::{Fabric, TechParams, Time};
-use qspr_place::{MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer, PlacerSolution};
+use qspr_place::{
+    check_center_seats, MonteCarloPlacer, MvfbConfig, MvfbPlacer, PassDirection, Placer,
+    PlacerSolution,
+};
 use qspr_qasm::Program;
 use qspr_route::{RouterFactory, RouterKind, RoutingStats, SeededNegotiated};
 use qspr_sched::Qidg;
@@ -398,6 +401,7 @@ impl Flow {
             }
             FlowPolicy::Quale | FlowPolicy::Qpos => {
                 let started = Instant::now();
+                check_center_seats(&self.fabric, program.num_qubits())?;
                 let placement = Placement::center(&self.fabric, program.num_qubits());
                 // Baselines map exactly once, tracing inline if asked.
                 let outcome = mapper
@@ -627,6 +631,7 @@ impl Flow {
     /// Returns [`QsprError::Map`] when either mapping fails.
     pub fn compare(&self, name: &str, program: &Program) -> Result<ComparisonRow, QsprError> {
         let baseline = self.ideal_latency(program);
+        check_center_seats(&self.fabric, program.num_qubits())?;
         let placement = Placement::center(&self.fabric, program.num_qubits());
         let quale = self
             .map_with(program, MapperPolicy::quale(&self.tech), &placement)?

@@ -1,20 +1,15 @@
-//! Hand-rolled, dependency-free result caches for mapped responses.
+//! The service's result cache: one least-recently-used map of response
+//! bodies behind one lock.
 //!
 //! Keys are the canonical flow fingerprints of
 //! [`Flow::fingerprint`](crate::Flow::fingerprint); values are the
 //! exact response bodies the service sent on the cold path, so a cache
 //! hit is byte-identical by construction.
 //!
-//! [`ShardedCache`] holds N independent LRU shards, each behind its own
-//! lock, selected by an FNV-1a hash of the key. Each shard is a HashMap
-//! plus an intrusive recency list in a slab of indices — no `unsafe`,
-//! O(1) get/insert/evict. Concurrent requests for different keys almost
-//! never contend, and each shard accounts bytes and keeps
-//! hit/miss/eviction counters that `/stats` surfaces per shard.
-//!
-//! A test-only `LruCache` — the original single-threaded LRU the
-//! service once guarded with one mutex — is the behavioral reference
-//! the sharded cache's equivalence test replays against.
+//! The map is a `HashMap` plus an intrusive recency list in a slab of
+//! indices — no `unsafe`, O(1) get/insert/evict. It accounts the bytes
+//! it holds and counts its own hits, misses and evictions, which
+//! `GET /stats` reports.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -22,209 +17,105 @@ use std::sync::Mutex;
 /// Sentinel for "no neighbor" in the intrusive recency list.
 const NONE: usize = usize::MAX;
 
-/// One slab slot: a key/value pair threaded into the recency list.
-#[cfg(test)]
+/// The result cache shared by every worker thread: [`Lru`] behind one
+/// mutex. Capacity 0 disables it: every lookup misses and nothing is
+/// stored.
 #[derive(Debug)]
-struct Entry<V> {
-    key: String,
-    value: V,
-    prev: usize,
-    next: usize,
+pub(crate) struct ResultCache {
+    lru: Mutex<Lru>,
 }
 
-/// A least-recently-used cache with string keys: the single-lock
-/// reference model of one [`ShardedCache`] shard.
-///
-/// Capacity 0 disables the cache entirely: every lookup misses and
-/// nothing is stored.
-#[cfg(test)]
+impl ResultCache {
+    /// A cache holding at most `capacity` entries.
+    pub(crate) fn new(capacity: usize) -> ResultCache {
+        ResultCache {
+            lru: Mutex::new(Lru::new(capacity)),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
+        // Poisoned only if a thread panicked mid-update, which leaves
+        // the recency list in an unknown state.
+        self.lru.lock().expect("result cache lock")
+    }
+
+    /// Looks up `key`, promoting it on a hit; counts the hit or miss.
+    pub(crate) fn get(&self, key: &str) -> Option<String> {
+        self.lock().get(key)
+    }
+
+    /// Inserts (or replaces) `key`, evicting the least recently used
+    /// entry when full.
+    pub(crate) fn insert(&self, key: String, value: String) {
+        self.lock().insert(key, value);
+    }
+
+    /// The configured entry capacity.
+    pub(crate) fn capacity(&self) -> usize {
+        self.lock().capacity
+    }
+
+    /// Entries currently cached.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// Bytes currently cached (keys + values).
+    pub(crate) fn bytes(&self) -> u64 {
+        self.lock().bytes as u64
+    }
+
+    /// Lookups answered from the cache.
+    pub(crate) fn hits(&self) -> u64 {
+        self.lock().hits
+    }
+
+    /// Lookups that found nothing.
+    pub(crate) fn misses(&self) -> u64 {
+        self.lock().misses
+    }
+
+    /// Entries removed by capacity pressure.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.lock().evictions
+    }
+
+    /// Test-only invariant check: recomputes the byte total from the
+    /// slab, asserts it matches the incremental counter, and returns it.
+    #[cfg(test)]
+    pub(crate) fn audit_bytes(&self) -> u64 {
+        let lru = self.lock();
+        let recomputed: usize = lru.map.values().map(|&slot| lru.slab[slot].bytes).sum();
+        assert_eq!(
+            recomputed, lru.bytes,
+            "byte accounting drifted from the slab"
+        );
+        recomputed as u64
+    }
+}
+
+/// A slab LRU with byte accounting and counters.
 #[derive(Debug)]
-pub(crate) struct LruCache<V> {
+struct Lru {
     capacity: usize,
     map: HashMap<String, usize>,
-    slab: Vec<Entry<V>>,
+    slab: Vec<Entry>,
     /// Most recently used entry (list head).
     head: usize,
     /// Least recently used entry (list tail, next eviction victim).
     tail: usize,
     /// Recycled slab slots.
     free: Vec<usize>,
-}
-
-#[cfg(test)]
-impl<V> LruCache<V> {
-    /// Creates a cache holding at most `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> LruCache<V> {
-        LruCache {
-            capacity,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            head: NONE,
-            tail: NONE,
-            free: Vec::new(),
-        }
-    }
-
-    /// The configured capacity.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of entries currently cached.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up `key`, marking it most recently used on a hit.
-    pub(crate) fn get(&mut self, key: &str) -> Option<&V> {
-        let &slot = self.map.get(key)?;
-        self.promote(slot);
-        Some(&self.slab[slot].value)
-    }
-
-    /// Inserts (or replaces) `key`, evicting the least recently used
-    /// entry when full. The inserted entry becomes most recently used.
-    pub(crate) fn insert(&mut self, key: String, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(&slot) = self.map.get(&key) {
-            self.slab[slot].value = value;
-            self.promote(slot);
-            return;
-        }
-        if self.map.len() == self.capacity {
-            self.evict_tail();
-        }
-        let entry = Entry {
-            key: key.clone(),
-            value,
-            prev: NONE,
-            next: self.head,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
-        };
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-        self.map.insert(key, slot);
-    }
-
-    /// Unlinks `slot` from the recency list and relinks it at the head.
-    fn promote(&mut self, slot: usize) {
-        if self.head == slot {
-            return;
-        }
-        let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
-        if prev != NONE {
-            self.slab[prev].next = next;
-        }
-        if next != NONE {
-            self.slab[next].prev = prev;
-        }
-        if self.tail == slot {
-            self.tail = prev;
-        }
-        self.slab[slot].prev = NONE;
-        self.slab[slot].next = self.head;
-        if self.head != NONE {
-            self.slab[self.head].prev = slot;
-        }
-        self.head = slot;
-    }
-
-    /// Removes the least recently used entry.
-    fn evict_tail(&mut self) {
-        let victim = self.tail;
-        debug_assert_ne!(victim, NONE, "evict called on an empty cache");
-        let prev = self.slab[victim].prev;
-        if prev != NONE {
-            self.slab[prev].next = NONE;
-        } else {
-            self.head = NONE;
-        }
-        self.tail = prev;
-        self.map.remove(&self.slab[victim].key);
-        self.free.push(victim);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded cache
-// ---------------------------------------------------------------------------
-
-/// How a [`ShardedCache`] is sized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total entry capacity across all shards (0 disables caching).
-    pub entries: usize,
-    /// Number of independent shards (clamped to at least 1).
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    /// 1024 entries across 8 shards.
-    fn default() -> CacheConfig {
-        CacheConfig {
-            entries: 1024,
-            shards: 8,
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's counters and occupancy,
-/// surfaced by `GET /stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Entries currently held.
-    pub entries: u64,
-    /// Bytes currently held (keys + values).
-    pub bytes: u64,
-    /// Lookups answered from this shard.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries removed by capacity pressure.
-    pub evictions: u64,
-}
-
-/// One shard: a slab LRU with byte accounting and counters.
-#[derive(Debug)]
-struct Shard {
-    /// Entry capacity of this shard.
-    capacity: usize,
-    map: HashMap<String, usize>,
-    slab: Vec<ShardEntry>,
-    head: usize,
-    tail: usize,
-    free: Vec<usize>,
-    /// Bytes currently held (maintained incrementally; the test-only
-    /// audit recomputes it from the slab).
+    /// Bytes currently held, maintained incrementally.
     bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
+/// One slab slot: a key/value pair threaded into the recency list.
 #[derive(Debug)]
-struct ShardEntry {
+struct Entry {
     key: String,
     value: String,
     /// `key.len() + value.len()` at insert time.
@@ -233,9 +124,9 @@ struct ShardEntry {
     next: usize,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
+impl Lru {
+    fn new(capacity: usize) -> Lru {
+        Lru {
             capacity,
             map: HashMap::new(),
             slab: Vec::new(),
@@ -275,7 +166,7 @@ impl Shard {
         if self.map.len() == self.capacity {
             self.evict_tail();
         }
-        let entry = ShardEntry {
+        let entry = Entry {
             key: key.clone(),
             value,
             bytes: entry_bytes,
@@ -303,6 +194,7 @@ impl Shard {
         self.bytes += entry_bytes;
     }
 
+    /// Unlinks `slot` from the recency list and relinks it at the head.
     fn promote(&mut self, slot: usize) {
         if self.head == slot {
             return;
@@ -328,7 +220,7 @@ impl Shard {
     /// Removes the least recently used entry.
     fn evict_tail(&mut self) {
         let victim = self.tail;
-        debug_assert_ne!(victim, NONE, "evict called on an empty shard");
+        debug_assert_ne!(victim, NONE, "evict called on an empty cache");
         let prev = self.slab[victim].prev;
         if prev != NONE {
             self.slab[prev].next = NONE;
@@ -341,264 +233,158 @@ impl Shard {
         self.free.push(victim);
         self.evictions += 1;
     }
-
-    fn stats(&self) -> ShardStats {
-        ShardStats {
-            entries: self.map.len() as u64,
-            bytes: self.bytes as u64,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-        }
-    }
-}
-
-/// A sharded, internally synchronized LRU result cache: N independent
-/// shards, each behind its own lock, selected by an FNV-1a hash of
-/// the key. Cheap shared access from many worker threads — two
-/// requests contend only when their keys land in the same shard.
-///
-/// With one shard, the observable hit/miss/eviction behavior is
-/// identical to a single mutex-wrapped LRU (an equivalence the tests
-/// replay op-for-op).
-///
-/// # Examples
-///
-/// ```
-/// use qspr::service::{CacheConfig, ShardedCache};
-///
-/// let cache = ShardedCache::new(CacheConfig {
-///     entries: 64,
-///     shards: 4,
-///     ..CacheConfig::default()
-/// });
-/// cache.insert("key".into(), "body".into());
-/// assert_eq!(cache.get("key"), Some("body".into())); // hit
-/// assert_eq!(cache.get("absent"), None);             // miss
-/// let totals = cache.totals();
-/// assert_eq!((totals.hits, totals.misses), (1, 1));
-/// ```
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Total entry capacity as configured (shards each get a
-    /// `ceil(entries / shards)` slice).
-    entries: usize,
-}
-
-impl ShardedCache {
-    /// Builds the shard array from `config` (shard count clamped to at
-    /// least 1; per-shard capacity is `ceil(entries / shards)` so the
-    /// total never rounds down to less than asked).
-    pub fn new(config: CacheConfig) -> ShardedCache {
-        let shard_count = config.shards.max(1);
-        let per_shard = config.entries.div_ceil(shard_count);
-        let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::new(per_shard)))
-            .collect();
-        ShardedCache {
-            shards,
-            entries: config.entries,
-        }
-    }
-
-    /// The shard `key` belongs to.
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Looks up `key`, promoting it on a hit.
-    pub fn get(&self, key: &str) -> Option<String> {
-        self.shard_for(key)
-            .lock()
-            .expect("cache shard lock")
-            .get(key)
-    }
-
-    /// Like [`ShardedCache::get`] but reports which shard answered
-    /// (for per-shard metrics without re-hashing).
-    pub fn get_indexed(&self, key: &str) -> (usize, Option<String>) {
-        let index = self.shard_index(key);
-        let value = self.shards[index]
-            .lock()
-            .expect("cache shard lock")
-            .get(key);
-        (index, value)
-    }
-
-    /// The index of the shard `key` hashes to (FNV-1a over the key
-    /// bytes, reduced modulo the shard count).
-    pub fn shard_index(&self, key: &str) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    /// Inserts (or replaces) `key`, evicting the shard's LRU entry
-    /// when it is full.
-    pub fn insert(&self, key: String, value: String) {
-        self.shard_for(&key)
-            .lock()
-            .expect("cache shard lock")
-            .insert(key, value);
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total configured entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.entries
-    }
-
-    /// Entries currently cached, summed across shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").map.len())
-            .sum()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes currently cached (keys + values), summed across shards.
-    pub fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").bytes as u64)
-            .sum()
-    }
-
-    /// A snapshot of every shard's counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").stats())
-            .collect()
-    }
-
-    /// Counters summed across shards.
-    pub fn totals(&self) -> ShardStats {
-        self.shard_stats()
-            .iter()
-            .fold(ShardStats::default(), |mut acc, s| {
-                acc.entries += s.entries;
-                acc.bytes += s.bytes;
-                acc.hits += s.hits;
-                acc.misses += s.misses;
-                acc.evictions += s.evictions;
-                acc
-            })
-    }
-
-    /// Test-only invariant check: recomputes each shard's byte total
-    /// from its slab and asserts it matches the incremental counter.
-    /// Returns the audited grand total.
-    #[cfg(test)]
-    pub(crate) fn audit_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("cache shard lock");
-            let recomputed: usize = shard.map.values().map(|&slot| shard.slab[slot].bytes).sum();
-            assert_eq!(
-                recomputed, shard.bytes,
-                "shard byte accounting drifted from its slab"
-            );
-            total += shard.bytes as u64;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Keys in recency order, most recent first (test-only walk).
-    fn recency<V>(cache: &LruCache<V>) -> Vec<&str> {
+    fn recency(cache: &ResultCache) -> Vec<String> {
+        let lru = cache.lock();
         let mut keys = Vec::new();
-        let mut at = cache.head;
+        let mut at = lru.head;
         while at != NONE {
-            keys.push(cache.slab[at].key.as_str());
-            at = cache.slab[at].next;
+            keys.push(lru.slab[at].key.clone());
+            at = lru.slab[at].next;
         }
         keys
     }
 
+    fn put(cache: &ResultCache, key: &str, value: &str) {
+        cache.insert(key.into(), value.into());
+    }
+
     #[test]
     fn evicts_in_lru_order() {
-        let mut cache = LruCache::new(3);
-        for (k, v) in [("a", 1), ("b", 2), ("c", 3)] {
-            cache.insert(k.into(), v);
+        let cache = ResultCache::new(3);
+        for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
+            put(&cache, k, v);
         }
         assert_eq!(recency(&cache), ["c", "b", "a"]);
-        cache.insert("d".into(), 4); // evicts "a"
+        put(&cache, "d", "4"); // evicts "a"
         assert_eq!(cache.get("a"), None);
-        cache.insert("e".into(), 5); // evicts "b"
+        put(&cache, "e", "5"); // evicts "b"
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("c"), Some(&3));
+        assert_eq!(cache.get("c").as_deref(), Some("3"));
         assert_eq!(cache.len(), 3);
+        assert_eq!(cache.evictions(), 2);
     }
 
     #[test]
     fn get_promotes_against_eviction() {
-        let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        assert_eq!(cache.get("a"), Some(&1)); // "b" becomes LRU
-        cache.insert("c".into(), 3);
+        let cache = ResultCache::new(2);
+        put(&cache, "a", "1");
+        put(&cache, "b", "2");
+        assert_eq!(cache.get("a").as_deref(), Some("1")); // "b" becomes LRU
+        put(&cache, "c", "3");
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("a"), Some(&1));
-        assert_eq!(cache.get("c"), Some(&3));
+        assert_eq!(cache.get("a").as_deref(), Some("1"));
+        assert_eq!(cache.get("c").as_deref(), Some("3"));
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
     }
 
     #[test]
     fn insert_replaces_and_promotes_existing_keys() {
-        let mut cache = LruCache::new(2);
-        cache.insert("a".into(), 1);
-        cache.insert("b".into(), 2);
-        cache.insert("a".into(), 10); // replace, promote; len stays 2
+        let cache = ResultCache::new(2);
+        put(&cache, "a", "1");
+        put(&cache, "b", "2");
+        put(&cache, "a", "10"); // replace, promote; len stays 2
         assert_eq!(cache.len(), 2);
         assert_eq!(recency(&cache), ["a", "b"]);
-        assert_eq!(cache.get("a"), Some(&10));
-        cache.insert("c".into(), 3); // evicts "b", not "a"
+        assert_eq!(cache.get("a").as_deref(), Some("10"));
+        put(&cache, "c", "3"); // evicts "b", not "a"
         assert_eq!(cache.get("b"), None);
-        assert_eq!(cache.get("a"), Some(&10));
+        assert_eq!(cache.get("a").as_deref(), Some("10"));
     }
 
     #[test]
     fn capacity_one_and_zero_degenerate_cleanly() {
-        let mut one = LruCache::new(1);
-        one.insert("a".into(), 1);
-        one.insert("b".into(), 2);
+        let one = ResultCache::new(1);
+        put(&one, "a", "1");
+        put(&one, "b", "2");
         assert_eq!(one.get("a"), None);
-        assert_eq!(one.get("b"), Some(&2));
+        assert_eq!(one.get("b").as_deref(), Some("2"));
         assert_eq!(one.len(), 1);
 
-        let mut off: LruCache<i32> = LruCache::new(0);
-        off.insert("a".into(), 1);
+        let off = ResultCache::new(0);
+        put(&off, "a", "1");
         assert_eq!(off.get("a"), None);
-        assert!(off.is_empty());
+        assert_eq!((off.len(), off.bytes(), off.evictions()), (0, 0, 0));
         assert_eq!(off.capacity(), 0);
     }
 
     #[test]
     fn slots_are_recycled_without_growth() {
-        let mut cache = LruCache::new(2);
+        let cache = ResultCache::new(2);
         for i in 0..100 {
-            cache.insert(format!("k{i}"), i);
+            cache.insert(format!("k{i}"), i.to_string());
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.slab.len() <= 3, "slab grew: {}", cache.slab.len());
-        assert_eq!(cache.get("k99"), Some(&99));
-        assert_eq!(cache.get("k98"), Some(&98));
+        let slab = cache.lock().slab.len();
+        assert!(slab <= 3, "slab grew: {slab}");
+        assert_eq!(cache.get("k99").as_deref(), Some("99"));
+        assert_eq!(cache.get("k98").as_deref(), Some("98"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Op-for-op replay against an obviously correct model: a `Vec`
+        /// of `(key, value)` pairs kept most recent first. Every lookup
+        /// answers alike, and after every operation the recency order,
+        /// byte total and hit/miss/eviction counts agree.
+        #[test]
+        fn replays_match_a_recency_ordered_vec(
+            ops in collection::vec((any::<bool>(), 0u8..12, 0usize..4), 1..250),
+            capacity in 0usize..6,
+        ) {
+            let cache = ResultCache::new(capacity);
+            let mut model: Vec<(String, String)> = Vec::new();
+            let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+            for (is_insert, key, len) in ops {
+                let key = format!("k{key}");
+                let at = model.iter().position(|(k, _)| *k == key);
+                if is_insert {
+                    let value = "v".repeat(len);
+                    cache.insert(key.clone(), value.clone());
+                    if capacity == 0 {
+                        continue;
+                    }
+                    match at {
+                        Some(i) => {
+                            model.remove(i);
+                        }
+                        None if model.len() == capacity => {
+                            model.pop();
+                            evictions += 1;
+                        }
+                        None => {}
+                    }
+                    model.insert(0, (key, value));
+                } else {
+                    let expected = at.map(|i| {
+                        let entry = model.remove(i);
+                        let value = entry.1.clone();
+                        model.insert(0, entry);
+                        value
+                    });
+                    match expected {
+                        Some(_) => hits += 1,
+                        None => misses += 1,
+                    }
+                    prop_assert_eq!(cache.get(&key), expected);
+                }
+                let keys: Vec<String> = model.iter().map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(recency(&cache), keys);
+                let bytes: usize = model.iter().map(|(k, v)| k.len() + v.len()).sum();
+                prop_assert_eq!(cache.audit_bytes(), bytes as u64);
+                prop_assert_eq!(
+                    (cache.hits(), cache.misses(), cache.evictions()),
+                    (hits, misses, evictions)
+                );
+            }
+        }
     }
 }

@@ -13,13 +13,12 @@
 //!   Connections are keep-alive by default and clients may pipeline
 //!   requests back-to-back; responses always come back in request
 //!   order, whichever worker finishes first.
-//! - **A sharded result cache.** Response bodies live in a
-//!   [`ShardedCache`] — N independent LRU shards, each behind its own
-//!   lock, keyed by the canonical
-//!   [`Flow::fingerprint`](crate::Flow::fingerprint) — with per-shard
-//!   byte accounting. Repeated requests return
-//!   byte-identical cached responses without touching the mapper or
-//!   contending on a global mutex.
+//! - **A result cache.** Response bodies live in one LRU map behind
+//!   one lock, keyed by the canonical
+//!   [`Flow::fingerprint`](crate::Flow::fingerprint), with byte
+//!   accounting and its own hit, miss and eviction counts. Repeated
+//!   requests return byte-identical cached responses without touching
+//!   the mapper.
 //! - **Admission control.** Each heavy endpoint has a bounded queue;
 //!   when it is full the reactor answers `429 Too Many Requests` with
 //!   a `Retry-After` header instead of queueing without bound, so an
@@ -36,8 +35,8 @@
 //! | `POST /sta` | `{"program", "policy"?, "router"?, "m"?, "jobs"?, "feedback"?, "fabric"?}` | the [`qspr_sta::TimingReport`] JSON of `qspr sta --format json` |
 //! | `POST /batch` | `{"programs":[...], "names"?, "router"?, "m"?, "jobs"?, "fabric"?}` | a JSON **array** of [`ComparisonRow`](crate::ComparisonRow)s, in input order |
 //! | `GET /healthz` | — | `{"status":"ok","version":...}` (the crate version the CLI reports) |
-//! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses (total and per shard), rejections, worker busy time, uptime, bound address |
-//! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses (total and per shard), queue depth and wait, rejections, handler latency, per-phase span timings |
+//! | `GET /stats` | — | [`StatsSnapshot`] JSON: requests, cache hits/misses/evictions and occupancy, rejections, worker busy time, uptime, bound address |
+//! | `GET /metrics` | — | Prometheus text exposition: request counts by endpoint/status, cache hits/misses, queue depth and wait, rejections, handler latency, per-phase span timings |
 //! | `POST /shutdown` | — | `{"status":"shutting-down"}`, then a graceful drain |
 //!
 //! Defaults mirror the CLI: `policy` `"qspr"`, `router` `"greedy"`,
@@ -112,7 +111,6 @@ mod cache;
 mod poll;
 mod reactor;
 
-pub use cache::{CacheConfig, ShardStats, ShardedCache};
 pub use http::{Request, Response};
 
 use std::collections::HashMap;
@@ -129,15 +127,16 @@ use qspr_obs::{Counter, Registry};
 use qspr_qasm::Program;
 use qspr_route::RouterKind;
 
+use self::cache::ResultCache;
 use crate::batch::{BatchJob, BatchMapper};
 use crate::error::QsprError;
 use crate::flow::{Flow, FlowPolicy};
 use crate::json::{JsonArray, JsonObject, JsonValue, ToJson};
 
 /// How a [`Server`] binds, sizes its worker pool, and paces its
-/// connections. (The result-cache geometry belongs to
-/// [`MapService::new`] / [`MapService::with_cache`] — the service, not
-/// the transport, owns the cache.)
+/// connections. (The result-cache capacity belongs to
+/// [`MapService::new`] — the service, not the transport, owns the
+/// cache.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
@@ -198,8 +197,6 @@ struct Counters {
     sta_requests: AtomicU64,
     batch_requests: AtomicU64,
     batch_programs: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
     busy_us: AtomicU64,
@@ -223,10 +220,9 @@ pub struct StatsSnapshot {
     /// Programs carried by `/batch` requests that reached the cache
     /// (each one is a hit or a miss, like a `/compare` request).
     pub batch_programs: u64,
-    /// Mapping-cache hits, summed over shards.
+    /// Mapping-cache hits.
     pub cache_hits: u64,
-    /// Mapping-cache misses (cold mappings executed), summed over
-    /// shards.
+    /// Mapping-cache misses (cold mappings executed).
     pub cache_misses: u64,
     /// Entries currently cached.
     pub cache_entries: u64,
@@ -234,8 +230,8 @@ pub struct StatsSnapshot {
     pub cache_capacity: u64,
     /// Bytes currently cached (keys + values).
     pub cache_bytes: u64,
-    /// Per-shard occupancy and counters, in shard order.
-    pub cache_shards: Vec<ShardStats>,
+    /// Entries removed from the cache by capacity pressure.
+    pub cache_evictions: u64,
     /// Requests answered `429` by admission control.
     pub rejected: u64,
     /// Responses with a 4xx/5xx status.
@@ -256,22 +252,9 @@ impl ToJson for StatsSnapshot {
     /// Stable JSON schema, pinned by a golden test:
     /// `{"requests","map_requests","compare_requests","sta_requests",
     /// "batch_requests","batch_programs","cache_hits","cache_misses",
-    /// "cache_entries","cache_capacity","cache_bytes",
-    /// "cache_shards":[{"entries","bytes","hits","misses","evictions"}],
+    /// "cache_entries","cache_capacity","cache_bytes","cache_evictions",
     /// "rejected","errors","busy_us","uptime_ms","uptime_s","addr"}`.
     fn to_json(&self) -> String {
-        let mut shards = JsonArray::new();
-        for shard in &self.cache_shards {
-            shards.push_raw(
-                &JsonObject::new()
-                    .number("entries", shard.entries)
-                    .number("bytes", shard.bytes)
-                    .number("hits", shard.hits)
-                    .number("misses", shard.misses)
-                    .number("evictions", shard.evictions)
-                    .build(),
-            );
-        }
         JsonObject::new()
             .number("requests", self.requests)
             .number("map_requests", self.map_requests)
@@ -284,7 +267,7 @@ impl ToJson for StatsSnapshot {
             .number("cache_entries", self.cache_entries)
             .number("cache_capacity", self.cache_capacity)
             .number("cache_bytes", self.cache_bytes)
-            .raw("cache_shards", &shards.build())
+            .number("cache_evictions", self.cache_evictions)
             .number("rejected", self.rejected)
             .number("errors", self.errors)
             .number("busy_us", self.busy_us)
@@ -296,7 +279,7 @@ impl ToJson for StatsSnapshot {
 }
 
 /// The resident mapping service: one shared fabric, one [`Flow`] per
-/// requested configuration, one sharded LRU cache of response bodies.
+/// requested configuration, one LRU cache of response bodies.
 ///
 /// `MapService` is transport-free — [`MapService::handle`] maps a
 /// parsed [`Request`] to a [`Response`] and is what the golden tests
@@ -310,11 +293,11 @@ pub struct MapService {
     /// One configured `Flow` per `(policy, router, m, trace, jobs)`,
     /// all sharing `fabric` behind the same `Arc`.
     flows: Mutex<HashMap<String, Flow>>,
-    cache: ShardedCache,
-    /// Pre-created per-shard hit/miss counters (`shard="<i>"` labels),
-    /// so the hot path never formats a label.
-    shard_hits: Vec<Arc<Counter>>,
-    shard_misses: Vec<Arc<Counter>>,
+    cache: ResultCache,
+    /// The `qspr_cache_{hits,misses}_total` counters, created once so a
+    /// lookup takes no registry lock.
+    hit_metric: Arc<Counter>,
+    miss_metric: Arc<Counter>,
     counters: Counters,
     /// The Prometheus-rendered metrics behind `GET /metrics`.
     metrics: Arc<Registry>,
@@ -382,25 +365,20 @@ struct BatchRequest {
 
 impl MapService {
     /// Creates a service mapping onto `fabric` with a
-    /// `cache_capacity`-entry result cache (default shard geometry:
-    /// [`CacheConfig::default`]'s 8 shards —
-    /// reshape with [`MapService::with_cache`]).
+    /// `cache_capacity`-entry result cache (0 disables caching).
     pub fn new(fabric: impl Into<Arc<Fabric>>, cache_capacity: usize) -> MapService {
-        let config = CacheConfig {
-            entries: cache_capacity,
-            ..CacheConfig::default()
-        };
-        let fabric = fabric.into();
-        let cache = ShardedCache::new(config);
         let metrics = Arc::new(Registry::new());
-        let (shard_hits, shard_misses) = shard_counters(&metrics, cache.shard_count());
         MapService {
-            fabric,
+            fabric: fabric.into(),
             jobs_budget: thread::available_parallelism().map_or(1, |n| n.get()),
             flows: Mutex::new(HashMap::new()),
-            cache,
-            shard_hits,
-            shard_misses,
+            cache: ResultCache::new(cache_capacity),
+            hit_metric: metrics.counter("qspr_cache_hits_total", "Mapping-cache hits.", &[]),
+            miss_metric: metrics.counter(
+                "qspr_cache_misses_total",
+                "Mapping-cache misses (cold mappings executed).",
+                &[],
+            ),
             counters: Counters::default(),
             metrics,
             bound_addr: Mutex::new(None),
@@ -409,26 +387,9 @@ impl MapService {
         }
     }
 
-    /// Replaces the result cache with one built from `config` (entry
-    /// capacity, shard count). Existing entries are discarded; use at
-    /// construction time.
-    #[must_use]
-    pub fn with_cache(mut self, config: CacheConfig) -> MapService {
-        self.cache = ShardedCache::new(config);
-        let (hits, misses) = shard_counters(&self.metrics, self.cache.shard_count());
-        self.shard_hits = hits;
-        self.shard_misses = misses;
-        self
-    }
-
     /// The fabric every request maps onto.
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
-    }
-
-    /// The result cache (exposed for tests and stats).
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
     }
 
     /// Sets the server-wide cap on per-request `"jobs"` values
@@ -480,7 +441,6 @@ impl MapService {
     /// A copy of the current counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
-        let cache_shards = self.cache.shard_stats();
         let uptime = self.started.elapsed();
         StatsSnapshot {
             requests: c.requests.load(Ordering::Relaxed),
@@ -489,12 +449,12 @@ impl MapService {
             sta_requests: c.sta_requests.load(Ordering::Relaxed),
             batch_requests: c.batch_requests.load(Ordering::Relaxed),
             batch_programs: c.batch_programs.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
             cache_entries: self.cache.len() as u64,
             cache_capacity: self.cache.capacity() as u64,
-            cache_bytes: cache_shards.iter().map(|s| s.bytes).sum(),
-            cache_shards,
+            cache_bytes: self.cache.bytes(),
+            cache_evictions: self.cache.evictions(),
             rejected: c.rejected.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
             busy_us: c.busy_us.load(Ordering::Relaxed),
@@ -761,21 +721,13 @@ impl MapService {
         Response::new(200, array.build())
     }
 
-    /// Looks `key` up in the sharded cache, mirroring the outcome into
-    /// the service counters and the aggregate + per-shard metrics.
+    /// Looks `key` up in the cache (which counts the hit or miss for
+    /// `/stats`) and mirrors the outcome into `/metrics`.
     fn cache_lookup(&self, key: &str) -> Option<String> {
-        let (shard, value) = self.cache.get_indexed(key);
-        if value.is_some() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.cache_metric("qspr_cache_hits_total", "Mapping-cache hits.");
-            self.shard_hits[shard].inc();
-        } else {
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.cache_metric(
-                "qspr_cache_misses_total",
-                "Mapping-cache misses (cold mappings executed).",
-            );
-            self.shard_misses[shard].inc();
+        let value = self.cache.get(key);
+        match value {
+            Some(_) => self.hit_metric.inc(),
+            None => self.miss_metric.inc(),
         }
         value
     }
@@ -824,12 +776,6 @@ impl MapService {
             .or_insert_with(|| configure(Flow::on(Arc::clone(&self.fabric))))
             .clone()
     }
-
-    /// Bumps one of the two aggregate cache counters in the metrics
-    /// registry (mirrors the `Counters` atomics into `/metrics`).
-    fn cache_metric(&self, name: &str, help: &str) {
-        self.metrics.counter(name, help, &[]).inc();
-    }
 }
 
 /// Every routable path (anything else is `404`; a known path with the
@@ -854,26 +800,6 @@ fn endpoint_label(path: &str) -> &'static str {
         .find(|&&known| known == path)
         .copied()
         .unwrap_or("other")
-}
-
-/// Pre-creates the per-shard cache hit/miss counters so lookups index
-/// an array instead of formatting labels.
-fn shard_counters(metrics: &Registry, shards: usize) -> (Vec<Arc<Counter>>, Vec<Arc<Counter>>) {
-    let make = |name: &str, help: &str| {
-        (0..shards)
-            .map(|i| metrics.counter(name, help, &[("shard", &i.to_string())]))
-            .collect()
-    };
-    (
-        make(
-            "qspr_cache_shard_hits_total",
-            "Mapping-cache hits, by shard.",
-        ),
-        make(
-            "qspr_cache_shard_misses_total",
-            "Mapping-cache misses, by shard.",
-        ),
-    )
 }
 
 /// The cache-key fragment for a request-supplied fabric document. The

@@ -1,10 +1,8 @@
 //! Service tests: wire-schema goldens (the `/map`, `/batch`, `/stats`
 //! and error body contracts, alongside the JSON goldens in
-//! `crate::json`), cache semantics (including sharded-vs-single-lock
-//! equivalence), HTTP parser property tests, and real-TCP keep-alive
-//! round trips.
+//! `crate::json`), cache semantics, HTTP parser property tests, and
+//! real-TCP keep-alive round trips.
 
-use super::cache::LruCache;
 use super::http::{encode_response, Parser};
 use super::*;
 use proptest::prelude::*;
@@ -93,22 +91,7 @@ fn stats_wire_schema_golden() {
         cache_entries: 4,
         cache_capacity: 128,
         cache_bytes: 2048,
-        cache_shards: vec![
-            ShardStats {
-                entries: 3,
-                bytes: 1536,
-                hits: 2,
-                misses: 3,
-                evictions: 0,
-            },
-            ShardStats {
-                entries: 1,
-                bytes: 512,
-                hits: 1,
-                misses: 1,
-                evictions: 1,
-            },
-        ],
+        cache_evictions: 1,
         rejected: 2,
         errors: 1,
         busy_us: 123456,
@@ -121,9 +104,7 @@ fn stats_wire_schema_golden() {
         concat!(
             r#"{"requests":9,"map_requests":5,"compare_requests":2,"sta_requests":1,"#,
             r#""batch_requests":1,"batch_programs":3,"cache_hits":3,"cache_misses":4,"#,
-            r#""cache_entries":4,"cache_capacity":128,"cache_bytes":2048,"#,
-            r#""cache_shards":[{"entries":3,"bytes":1536,"hits":2,"misses":3,"evictions":0},"#,
-            r#"{"entries":1,"bytes":512,"hits":1,"misses":1,"evictions":1}],"#,
+            r#""cache_entries":4,"cache_capacity":128,"cache_bytes":2048,"cache_evictions":1,"#,
             r#""rejected":2,"errors":1,"busy_us":123456,"uptime_ms":60000,"uptime_s":60,"#,
             r#""addr":"127.0.0.1:7878"}"#,
         )
@@ -240,21 +221,9 @@ fn cache_hits_are_byte_identical_and_counted() {
     let stats = service.stats();
     assert_eq!((stats.cache_hits, stats.cache_misses), (3, 2));
     assert_eq!(stats.cache_entries, 2);
-    // Per-shard counters and byte accounting stay consistent with the
-    // aggregates.
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.hits).sum::<u64>(),
-        stats.cache_hits
-    );
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.misses).sum::<u64>(),
-        stats.cache_misses
-    );
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.bytes).sum::<u64>(),
-        stats.cache_bytes
-    );
+    assert_eq!(stats.cache_bytes, service.cache.audit_bytes());
     assert!(stats.cache_bytes > 0);
+    assert_eq!(stats.cache_evictions, 0);
 }
 
 #[test]
@@ -291,13 +260,10 @@ fn compare_rejects_map_only_fields() {
 
 #[test]
 fn eviction_causes_a_rerun_not_a_wrong_answer() {
-    // A single one-entry shard: the second distinct request evicts the
-    // first; asking for the first again re-maps (miss) and yields the
-    // same latency.
-    let service = MapService::new(Fabric::quale_45x85(), 1).with_cache(CacheConfig {
-        entries: 1,
-        shards: 1,
-    });
+    // A one-entry cache: the second distinct request evicts the first;
+    // asking for the first again re-maps (miss) and yields the same
+    // latency.
+    let service = MapService::new(Fabric::quale_45x85(), 1);
     let a = format!("{{\"program\":{BELL:?},\"m\":2}}");
     let b = format!("{{\"program\":{BELL:?},\"m\":3}}");
     let first = post(&service, "/map", &a);
@@ -307,10 +273,7 @@ fn eviction_causes_a_rerun_not_a_wrong_answer() {
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.cache_misses, 3);
     assert_eq!(stats.cache_entries, 1);
-    assert_eq!(
-        stats.cache_shards.iter().map(|s| s.evictions).sum::<u64>(),
-        2
-    );
+    assert_eq!(stats.cache_evictions, 2);
     assert_eq!(
         normalize_timing(&first.body),
         normalize_timing(&again.body),
@@ -517,6 +480,16 @@ fn malformed_fabric_documents_are_422_goldens() {
         "{}",
         response.body
     );
+    // A canvas past the fabric cell bound (a tiny region placed far
+    // out) is 422 before anything is painted.
+    let far = r#"{"name":"far","regions":[{"family":"regular","rows":5,"cols":5,"pitch":4,"origin":[1100,1100]}]}"#;
+    let response = post(
+        &service,
+        "/map",
+        &format!("{{\"program\":{BELL:?},\"m\":2,\"fabric\":{far:?}}}"),
+    );
+    assert_eq!(response.status, 422, "{}", response.body);
+    assert!(response.body.contains("too large"), "{}", response.body);
     // A non-string fabric field is a 400 schema error.
     let response = post(
         &service,
@@ -712,15 +685,12 @@ fn encode_response_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded cache
+// Result cache
 // ---------------------------------------------------------------------------
 
 #[test]
-fn sharded_cache_accounts_bytes_exactly() {
-    let cache = ShardedCache::new(CacheConfig {
-        entries: 64,
-        shards: 4,
-    });
+fn cache_accounts_bytes_exactly() {
+    let cache = ResultCache::new(64);
     let mut expected = 0u64;
     for i in 0..40 {
         let key = format!("key-{i}");
@@ -728,14 +698,10 @@ fn sharded_cache_accounts_bytes_exactly() {
         expected += (key.len() + value.len()) as u64;
         cache.insert(key, value);
     }
-    // No evictions yet (40 entries over 4 shards of 16): the audit
-    // (recomputed from the slabs) and the incremental totals agree.
+    // No evictions yet (40 entries of 64): the audit (recomputed from
+    // the slab) and the incremental total agree.
     assert_eq!(cache.audit_bytes(), expected);
     assert_eq!(cache.bytes(), expected);
-    assert_eq!(
-        cache.shard_stats().iter().map(|s| s.bytes).sum::<u64>(),
-        expected
-    );
     // Replacement adjusts, never leaks.
     cache.insert("key-0".into(), "longer-value".repeat(4));
     assert_eq!(cache.audit_bytes(), cache.bytes());
@@ -743,18 +709,16 @@ fn sharded_cache_accounts_bytes_exactly() {
     for i in 0..500 {
         cache.insert(format!("evict-{i}"), "x".repeat(100));
     }
-    assert!(cache.len() <= 64);
+    assert_eq!(cache.len(), 64);
+    assert_eq!(cache.evictions(), 500 + 40 - 64);
     assert_eq!(cache.audit_bytes(), cache.bytes());
 }
 
 #[test]
-fn sharded_cache_is_deterministic_under_concurrency() {
+fn cache_is_deterministic_under_concurrency() {
     // N threads hammer disjoint key ranges concurrently; every thread
     // sees exactly its own values, and the final counters add up.
-    let cache = Arc::new(ShardedCache::new(CacheConfig {
-        entries: 4096,
-        shards: 8,
-    }));
+    let cache = Arc::new(ResultCache::new(4096));
     let threads = 8;
     let per_thread = 100u32;
     let handles: Vec<_> = (0..threads)
@@ -774,11 +738,10 @@ fn sharded_cache_is_deterministic_under_concurrency() {
     for handle in handles {
         handle.join().unwrap();
     }
-    let totals = cache.totals();
     let ops = u64::from(per_thread) * threads as u64;
     assert_eq!(cache.len() as u64, ops);
     assert_eq!(
-        (totals.hits, totals.misses, totals.evictions),
+        (cache.hits(), cache.misses(), cache.evictions()),
         (ops, ops, 0)
     );
     assert_eq!(cache.audit_bytes(), cache.bytes());
@@ -793,80 +756,39 @@ fn sharded_cache_is_deterministic_under_concurrency() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// With one shard, the sharded cache is observably identical to
-    /// the old mutex-wrapped [`LruCache`] on
-    /// any operation trace: same hits, same misses, same evictions,
-    /// same final contents.
-    #[test]
-    fn single_shard_matches_the_single_lock_reference(
-        ops in collection::vec((any::<bool>(), 0u8..12), 1..250),
-        capacity in 1usize..6,
-    ) {
-        let mut reference: LruCache<String> = LruCache::new(capacity);
-        let sharded = ShardedCache::new(CacheConfig {
-            entries: capacity,
-            shards: 1,
-        });
-        for (is_insert, key) in ops {
-            let key = format!("k{key}");
-            if is_insert {
-                let value = format!("value-of-{key}");
-                reference.insert(key.clone(), value.clone());
-                sharded.insert(key, value);
-            } else {
-                let expected = reference.get(&key).cloned();
-                prop_assert_eq!(sharded.get(&key), expected);
-            }
-        }
-        prop_assert_eq!(sharded.len(), reference.len());
-        for key in 0u8..12 {
-            let key = format!("k{key}");
-            let expected = reference.get(&key).cloned();
-            prop_assert_eq!(sharded.get(&key), expected);
-        }
-    }
-}
-
 #[test]
-fn shard_count_never_changes_response_bytes() {
-    // Replay one recorded request trace against a 1-shard and an
-    // 8-shard service: every response must be byte-identical modulo
-    // the /map timing block (and cached repeats identical, full stop).
-    let single = MapService::new(Fabric::quale_45x85(), 8).with_cache(CacheConfig {
-        entries: 8,
-        shards: 1,
-    });
-    let sharded = MapService::new(Fabric::quale_45x85(), 8);
+fn cache_capacity_never_changes_response_bytes() {
+    // Replay one recorded request trace against a one-entry cache
+    // (which evicts on nearly every request) and a roomy one: every
+    // response must be byte-identical modulo the /map timing block.
+    let tiny = MapService::new(Fabric::quale_45x85(), 1);
+    let roomy = MapService::new(Fabric::quale_45x85(), 8);
     let map_body = format!("{{\"program\":{BELL:?},\"m\":2}}");
     let cmp_body = format!("{{\"program\":{BELL:?},\"name\":\"bell\",\"m\":2}}");
     let batch_body = format!("{{\"programs\":[{BELL:?},{GHZ3:?}],\"m\":2}}");
     let trace = [
         ("/map", map_body.as_str()),
         ("/compare", cmp_body.as_str()),
-        ("/map", map_body.as_str()), // repeat: hit on both
+        ("/map", map_body.as_str()),
         ("/batch", batch_body.as_str()),
         ("/compare", cmp_body.as_str()),
         ("/batch", batch_body.as_str()),
     ];
     for (path, body) in trace {
-        let a = post(&single, path, body);
-        let b = post(&sharded, path, body);
+        let a = post(&tiny, path, body);
+        let b = post(&roomy, path, body);
         assert_eq!(a.status, b.status, "{path}");
         assert_eq!(
             normalize_timing(&a.body),
             normalize_timing(&b.body),
-            "{path} diverged between shard layouts"
+            "{path} diverged between cache capacities"
         );
     }
-    let a = single.stats();
-    let b = sharded.stats();
-    assert_eq!(
-        (a.cache_hits, a.cache_misses),
-        (b.cache_hits, b.cache_misses)
-    );
+    let (a, b) = (tiny.stats(), roomy.stats());
+    assert_eq!(a.cache_hits + a.cache_misses, b.cache_hits + b.cache_misses);
+    assert!(a.cache_evictions > 0);
+    assert_eq!(b.cache_evictions, 0);
+    assert!(a.cache_hits < b.cache_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,18 +973,6 @@ fn metrics_endpoint_exposes_prometheus_text() {
     assert!(text.contains("qspr_http_requests_total{endpoint=\"other\",status=\"404\"} 1\n"));
     assert!(text.contains("qspr_cache_hits_total 1\n"), "{text}");
     assert!(text.contains("qspr_cache_misses_total 1\n"), "{text}");
-    // The per-shard counters mirror the aggregates (exactly one shard
-    // took both the miss and the hit for the single key involved).
-    assert!(
-        text.contains("# TYPE qspr_cache_shard_hits_total counter"),
-        "{text}"
-    );
-    let shard_hits: u64 = text
-        .lines()
-        .filter(|l| l.starts_with("qspr_cache_shard_hits_total{"))
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-        .sum();
-    assert_eq!(shard_hits, 1, "{text}");
     assert!(
         text.contains("# TYPE qspr_handler_latency_us summary\n"),
         "{text}"
@@ -1223,6 +1133,47 @@ fn keep_alive_connections_pipeline_and_preserve_order() {
     let bye = http::call(handle.addr(), "GET", "/healthz", "").unwrap();
     assert_eq!(bye.status, 200);
 
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn a_program_larger_than_the_fabric_is_422_and_the_worker_lives_on() {
+    // One worker: if the oversized request killed it, nothing after it
+    // would ever be answered.
+    let service = Arc::new(service());
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind(Arc::clone(&service), &config)
+        .expect("bind ephemeral")
+        .spawn();
+    let mut client = http::Client::connect(handle.addr()).unwrap();
+    let program: String = (0..10).map(|i| format!("QUBIT q{i}\n")).collect();
+    let tiny = r#"{"name":"tiny","regions":[{"family":"regular","rows":5,"cols":5,"pitch":4}]}"#;
+    let one = format!("{{\"program\":{program:?},\"m\":2,\"fabric\":{tiny:?}}}");
+    let many = format!("{{\"programs\":[{program:?}],\"m\":2,\"fabric\":{tiny:?}}}");
+    for (path, body) in [
+        ("/map", &one),
+        ("/compare", &one),
+        ("/sta", &one),
+        ("/batch", &many),
+    ] {
+        let response = client.send("POST", path, body).unwrap();
+        assert_eq!(response.status, 422, "{path}: {}", response.body);
+        assert!(
+            response
+                .body
+                .contains("fabric has 4 traps but 10 qubits need seats"),
+            "{path}: {}",
+            response.body
+        );
+    }
+    let bell = client
+        .send("POST", "/map", &format!("{{\"program\":{BELL:?},\"m\":2}}"))
+        .unwrap();
+    assert_eq!(bell.status, 200, "{}", bell.body);
     handle.shutdown().expect("graceful shutdown");
 }
 

@@ -1,6 +1,7 @@
 //! The `qspr` binary end to end: against a reader that closes the pipe
 //! early, as in `qspr fabric | head -1` (the CLI must stop quietly,
-//! never panic), and against flags its subcommand does not read.
+//! never panic), against flags its subcommand does not read, and
+//! against inputs the mapper cannot take.
 
 use std::io::Read;
 use std::process::{Command, ExitStatus, Stdio};
@@ -69,4 +70,34 @@ fn unread_flags_are_usage_errors() {
         assert!(output.stdout.is_empty(), "qspr {args:?} mapped anyway");
     }
     assert!(!std::path::Path::new(dump).exists(), "no trace is written");
+}
+
+#[test]
+fn a_program_larger_than_the_fabric_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let program = dir.join(format!("qspr-ten-{id}.qasm"));
+    let spec = dir.join(format!("qspr-tiny-{id}.json"));
+    let qubits: String = (0..10).map(|i| format!("QUBIT q{i}\n")).collect();
+    std::fs::write(&program, qubits + "H q0\n").expect("write program");
+    std::fs::write(
+        &spec,
+        r#"{"name":"tiny","regions":[{"family":"regular","rows":5,"cols":5,"pitch":4}]}"#,
+    )
+    .expect("write spec");
+    let (program, spec) = (program.to_str().unwrap(), spec.to_str().unwrap());
+    for command in ["map", "compare", "sta"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_qspr"))
+            .args([command, program, "--fabric", spec, "--m", "1"])
+            .output()
+            .expect("run qspr");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "qspr {command}:\n{stderr}");
+        assert!(
+            stderr.contains("fabric has 4 traps but 10 qubits need seats"),
+            "qspr {command}:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(program);
+    let _ = std::fs::remove_file(spec);
 }

@@ -20,7 +20,8 @@ pub enum FabricError {
     },
     /// The description had no rows or no columns.
     EmptyGrid,
-    /// The grid dimensions exceed `u16` addressing.
+    /// The grid dimensions exceed `u16` addressing, or the grid holds
+    /// more cells than a fabric may.
     TooLarge {
         /// Supplied row count.
         rows: usize,
@@ -60,7 +61,12 @@ impl fmt::Display for FabricError {
             }
             FabricError::EmptyGrid => write!(f, "fabric grid is empty"),
             FabricError::TooLarge { rows, cols } => {
-                write!(f, "grid {rows}×{cols} exceeds u16 addressing")
+                write!(
+                    f,
+                    "grid {rows}×{cols} is too large (at most {} rows or columns and {} cells)",
+                    u16::MAX,
+                    crate::grid::MAX_CELLS
+                )
             }
             FabricError::DimensionMismatch { expected, actual } => {
                 write!(f, "expected {expected} cells, got {actual}")

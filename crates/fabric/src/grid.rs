@@ -7,6 +7,25 @@ use crate::error::FabricError;
 use crate::spec::FabricInfo;
 use crate::topology::Topology;
 
+/// Most cells a fabric grid may hold. Grid dimensions come from outside
+/// the program: a spec document of about 100 bytes can ask for a
+/// 65 535 × 65 535 region or canvas (about 4.3 GB of cells), and ragged
+/// ASCII art is padded to its longest line. Every grid is checked
+/// against this bound before its cells are allocated. 2²⁰ cells
+/// (1024 × 1024) is over 250 times the 45 × 85 QUALE fabric and every
+/// committed spec, and such a fabric with its topology takes about
+/// 50 MB, where 2048 × 2048 already takes over 200 MB.
+pub(crate) const MAX_CELLS: usize = 1 << 20;
+
+/// Rejects a `rows × cols` grid beyond `u16` addressing or
+/// [`MAX_CELLS`], before anything is allocated for it.
+pub(crate) fn check_size(rows: usize, cols: usize) -> Result<(), FabricError> {
+    if rows > u16::MAX as usize || cols > u16::MAX as usize || rows * cols > MAX_CELLS {
+        return Err(FabricError::TooLarge { rows, cols });
+    }
+    Ok(())
+}
+
 /// An ion-trap circuit fabric: a rectangular grid of cells plus its derived
 /// [`Topology`].
 ///
@@ -59,7 +78,8 @@ impl Fabric {
     /// # Errors
     ///
     /// * [`FabricError::EmptyGrid`] if either dimension is zero;
-    /// * [`FabricError::TooLarge`] if a dimension exceeds `u16`;
+    /// * [`FabricError::TooLarge`] if a dimension exceeds `u16` or the
+    ///   grid exceeds the cell-count bound;
     /// * [`FabricError::DimensionMismatch`] if `cells.len() != rows*cols`;
     /// * [`FabricError::NoTraps`] / [`FabricError::TrapWithoutPort`] if the
     ///   layout cannot host computation.
@@ -84,9 +104,7 @@ impl Fabric {
         if rows == 0 || cols == 0 {
             return Err(FabricError::EmptyGrid);
         }
-        if rows > u16::MAX as usize || cols > u16::MAX as usize {
-            return Err(FabricError::TooLarge { rows, cols });
-        }
+        check_size(rows, cols)?;
         if cells.len() != rows * cols {
             return Err(FabricError::DimensionMismatch {
                 expected: rows * cols,
@@ -125,6 +143,7 @@ impl Fabric {
         if rows == 0 || cols == 0 {
             return Err(FabricError::EmptyGrid);
         }
+        check_size(rows, cols)?;
         let mut cells = Vec::with_capacity(rows * cols);
         for (ln, line) in lines.iter().enumerate() {
             let mut count = 0;

@@ -56,7 +56,7 @@ use qspr_json::{JsonArray, JsonObject, JsonValue};
 
 use crate::cell::{Cell, Coord};
 use crate::error::FabricError;
-use crate::grid::Fabric;
+use crate::grid::{check_size, Fabric};
 
 /// Provenance metadata the elaborator attaches to a built [`Fabric`]:
 /// what the spec was called and how it was composed. Descriptive only —
@@ -429,9 +429,7 @@ impl FabricSpec {
                         )));
                     }
                     let (trows, tcols, tcells) = parse_art(&decl.name, &decl.art)?;
-                    stamp_tile(trows, tcols, &tcells, *tile_rows, *tile_cols).ok_or_else(|| {
-                        bad(format!("region {:?}: tiled area too large", region.name))
-                    })?
+                    stamp_tile(trows, tcols, &tcells, *tile_rows, *tile_cols)?
                 }
             };
             patches.push((region, rows, cols, cells));
@@ -451,12 +449,7 @@ impl FabricSpec {
         if canvas_rows == 0 || canvas_cols == 0 {
             return Err(FabricError::EmptyGrid);
         }
-        if canvas_rows > u16::MAX as usize || canvas_cols > u16::MAX as usize {
-            return Err(FabricError::TooLarge {
-                rows: canvas_rows,
-                cols: canvas_cols,
-            });
-        }
+        check_size(canvas_rows, canvas_cols)?;
         let mut canvas = vec![Cell::Empty; canvas_rows * canvas_cols];
         let idx = |r: u16, c: u16| r as usize * canvas_cols + c as usize;
 
@@ -621,6 +614,7 @@ pub(crate) fn paint_regular(rows: u16, cols: u16, pitch: u16) -> Result<Vec<Cell
             "grid {rows}×{cols} smaller than one tile (pitch {pitch})"
         )));
     }
+    check_size(rows as usize, cols as usize)?;
     let mut cells = vec![Cell::Empty; rows as usize * cols as usize];
     let idx = |r: u16, c: u16| r as usize * cols as usize + c as usize;
     for r in 0..rows {
@@ -665,9 +659,7 @@ fn parse_art(name: &str, art: &[String]) -> Result<(u16, u16, Vec<Cell>), Fabric
     if rows == 0 || cols == 0 {
         return Err(bad(format!("region {name:?}: empty art")));
     }
-    if rows > u16::MAX as usize || cols > u16::MAX as usize {
-        return Err(bad(format!("region {name:?}: art exceeds u16 addressing")));
-    }
+    check_size(rows, cols)?;
     let mut cells = Vec::with_capacity(rows * cols);
     for (ln, line) in art.iter().enumerate() {
         let mut count = 0;
@@ -687,19 +679,18 @@ fn parse_art(name: &str, art: &[String]) -> Result<(u16, u16, Vec<Cell>), Fabric
     Ok((rows as u16, cols as u16, cells))
 }
 
-/// Stamps a tile patch `reps_r × reps_c` times; `None` on u16 overflow.
+/// Stamps a tile patch `reps_r × reps_c` times.
 fn stamp_tile(
     trows: u16,
     tcols: u16,
     tcells: &[Cell],
     reps_r: u16,
     reps_c: u16,
-) -> Option<(u16, u16, Vec<Cell>)> {
-    let rows = (trows as usize).checked_mul(reps_r as usize)?;
-    let cols = (tcols as usize).checked_mul(reps_c as usize)?;
-    if rows > u16::MAX as usize || cols > u16::MAX as usize {
-        return None;
-    }
+) -> Result<(u16, u16, Vec<Cell>), FabricError> {
+    // u16 × u16 always fits a usize.
+    let rows = trows as usize * reps_r as usize;
+    let cols = tcols as usize * reps_c as usize;
+    check_size(rows, cols)?;
     let mut cells = vec![Cell::Empty; rows * cols];
     for r in 0..rows {
         for c in 0..cols {
@@ -708,7 +699,7 @@ fn stamp_tile(
             cells[r * cols + c] = tcells[tr * tcols as usize + tc];
         }
     }
-    Some((rows as u16, cols as u16, cells))
+    Ok((rows as u16, cols as u16, cells))
 }
 
 // ---------------------------------------------------------------------
@@ -1212,6 +1203,51 @@ mod tests {
                 msg.contains(needle),
                 "expected {needle:?} in error for {text:?}, got: {msg}"
             );
+        }
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_painting() {
+        // Each grid is just past the cell bound; all are rejected as
+        // too large instead of painted. The 65 535² region, about
+        // 4.3 GB of cells if painted, comes last, so a build without
+        // the bound fails on a cheap case before reaching it.
+        let ragged_art = format!("{}{}", "-".repeat(1100), "\n".repeat(1000));
+        let cases = [
+            // A tiny region placed far out stretches the canvas.
+            r#"{"name":"far","regions":[
+                {"family":"regular","rows":5,"cols":5,"pitch":4,"origin":[1100,1100]}]}"#
+                .to_owned(),
+            r#"{"name":"wide","regions":[{"family":"regular","rows":1100,"cols":1100,"pitch":1000}]}"#
+                .to_owned(),
+            r#"{"name":"nn","regions":[
+                {"family":"nearest_neighbor","sites_rows":600,"sites_cols":600}]}"#
+                .to_owned(),
+            r#"{"name":"tiles","tiles":[{"name":"dot","art":["."]}],
+                "regions":[{"family":"tiled","tile":"dot","tile_rows":1100,"tile_cols":1100}]}"#
+                .to_owned(),
+            // Ragged art is padded to its longest line, through both
+            // front ends.
+            format!(
+                r#"{{"name":"art","regions":[{{"family":"ascii","art":[{:?},{}]}}]}}"#,
+                "-".repeat(1100),
+                vec!["\"\""; 1000].join(",")
+            ),
+            ragged_art,
+            r#"{"name":"huge","regions":[{"family":"regular","rows":65535,"cols":65535,"pitch":4}]}"#
+                .to_owned(),
+        ];
+        for text in &cases {
+            match Fabric::parse(text) {
+                Err(err @ FabricError::TooLarge { .. }) => {
+                    assert!(err.to_string().contains("too large"), "{err}");
+                }
+                other => panic!(
+                    "{:.80}: expected TooLarge, got {:?}",
+                    text,
+                    other.map(|f| (f.rows(), f.cols()))
+                ),
+            }
         }
     }
 

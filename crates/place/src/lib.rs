@@ -52,4 +52,4 @@ mod placer;
 
 pub use monte_carlo::MonteCarloPlacer;
 pub use mvfb::{MvfbConfig, MvfbPlacer, MvfbSolution};
-pub use placer::{PassDirection, Placer, PlacerSolution};
+pub use placer::{check_center_seats, PassDirection, Placer, PlacerSolution};

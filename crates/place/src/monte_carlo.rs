@@ -10,7 +10,7 @@ use qspr_fabric::Time;
 use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
-use crate::placer::{map_striped, PassDirection, Placer, PlacerSolution};
+use crate::placer::{check_center_seats, map_striped, PassDirection, Placer, PlacerSolution};
 
 /// The paper's Monte Carlo baseline placer: `runs` random permutations of
 /// the center traps are mapped; the cheapest wins.
@@ -66,6 +66,7 @@ impl MonteCarloPlacer {
     ) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
+        check_center_seats(mapper.fabric(), program.num_qubits())?;
         let mut rng = StdRng::seed_from_u64(self.rng_seed);
         let mut placements: Vec<Placement> = (0..self.runs)
             .map(|_| Placement::center_permutation(mapper.fabric(), program.num_qubits(), &mut rng))

@@ -10,7 +10,7 @@ use qspr_fabric::Time;
 use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, Placement};
 
-use crate::placer::{map_striped, PassDirection, Placer, PlacerSolution};
+use crate::placer::{check_center_seats, map_striped, PassDirection, Placer, PlacerSolution};
 
 /// MVFB tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +93,7 @@ impl MvfbPlacer {
     ) -> Result<PlacerSolution, MapError> {
         let _span = qspr_obs::span("place");
         let started = Instant::now();
+        check_center_seats(mapper.fabric(), program.num_qubits())?;
         let reversed = program.reversed();
         let mut rng = StdRng::seed_from_u64(self.config.rng_seed);
         let seeds: Vec<u64> = (0..self.config.seeds).map(|_| rng.gen()).collect();

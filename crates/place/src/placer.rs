@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use qspr_fabric::Time;
+use qspr_fabric::{Fabric, Time};
 use qspr_qasm::Program;
 use qspr_sim::{MapError, Mapper, MappingOutcome, Placement, Trace};
 
@@ -178,6 +178,27 @@ impl<P: Placer + ?Sized> Placer for Box<P> {
     fn place(&self, mapper: &Mapper<'_>, program: &Program) -> Result<PlacerSolution, MapError> {
         (**self).place(mapper, program)
     }
+}
+
+/// Checks that `fabric` has a trap for each of `num_qubits` qubits,
+/// the seats a center placement ([`Placement::center`] and its
+/// permutations) draws. Both placers and the flow's center-placed
+/// baselines call it before drawing one, so a program larger than the
+/// fabric is a [`MapError::NotEnoughTraps`], not a panic.
+///
+/// # Errors
+///
+/// [`MapError::NotEnoughTraps`] when the fabric has fewer traps than
+/// `num_qubits`.
+pub fn check_center_seats(fabric: &Fabric, num_qubits: usize) -> Result<(), MapError> {
+    let traps = fabric.topology().traps().len();
+    if traps < num_qubits {
+        return Err(MapError::NotEnoughTraps {
+            traps,
+            qubits: num_qubits,
+        });
+    }
+    Ok(())
 }
 
 /// Runs `task(i)` for every `i` in `0..len` on up to `workers` scoped

@@ -429,35 +429,24 @@ impl RoutingEngine for GreedyRouter<'_> {
     }
 }
 
-/// Knobs of the PathFinder negotiation loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NegotiationConfig {
-    /// Maximum rip-up-and-reroute iterations per epoch. Effort only,
-    /// never quality: both adoption gates (`route_batch` keeps the
-    /// greedy answer unless negotiation strictly beats it, and
-    /// `refine_epoch` keeps the incumbents likewise) floor the result
-    /// at the greedy solution regardless of how early the loop stops.
-    pub max_iterations: u32,
-    /// Initial present-congestion penalty per unit of overuse (cost
-    /// units, i.e. µs of equivalent travel).
-    pub pres_weight: u64,
-    /// Multiplier applied to the present penalty each iteration.
-    pub pres_growth: u64,
-    /// Penalty per unit of accumulated segment history (carried across
-    /// epochs, so repeat offenders get spread out over the fabric).
-    pub hist_weight: u64,
-}
+/// Maximum rip-up-and-reroute iterations per epoch of the PathFinder
+/// negotiation loop. Effort only, never quality: both adoption gates
+/// (`route_batch` keeps the greedy answer unless negotiation strictly
+/// beats it, and `refine_epoch` keeps the incumbents likewise) floor
+/// the result at the greedy solution regardless of how early the loop
+/// stops.
+const MAX_ITERATIONS: u32 = 4;
 
-impl Default for NegotiationConfig {
-    fn default() -> NegotiationConfig {
-        NegotiationConfig {
-            max_iterations: 4,
-            pres_weight: 16,
-            pres_growth: 4,
-            hist_weight: 1,
-        }
-    }
-}
+/// Initial present-congestion penalty per unit of overuse (cost units,
+/// i.e. µs of equivalent travel).
+const PRES_WEIGHT: u64 = 16;
+
+/// Multiplier applied to the present penalty each iteration.
+const PRES_GROWTH: u64 = 4;
+
+/// Penalty per unit of accumulated segment history (carried across
+/// epochs, so repeat offenders get spread out over the fabric).
+const HIST_WEIGHT: u64 = 1;
 
 /// PathFinder-style negotiated-congestion engine.
 ///
@@ -471,7 +460,6 @@ impl Default for NegotiationConfig {
 #[derive(Debug, Clone)]
 pub struct NegotiatedRouter<'a> {
     router: Router<'a>,
-    negotiation: NegotiationConfig,
     /// Cross-epoch per-segment history counters (the PathFinder `h_n`).
     history: Vec<u32>,
     /// Batch-internal tentative bookings, reused across epochs.
@@ -502,14 +490,12 @@ pub struct NegotiatedRouter<'a> {
 }
 
 impl<'a> NegotiatedRouter<'a> {
-    /// Creates a negotiated engine over `topology` with default
-    /// negotiation knobs.
+    /// Creates a negotiated engine over `topology`.
     pub fn new(topology: &'a Topology, config: RouterConfig) -> NegotiatedRouter<'a> {
         let n_seg = topology.segments().len();
         let n_junc = topology.junctions().len();
         NegotiatedRouter {
             router: Router::new(topology, config),
-            negotiation: NegotiationConfig::default(),
             history: vec![0; n_seg],
             extra_segments: vec![0; n_seg],
             extra_junctions: vec![0; n_junc],
@@ -568,12 +554,6 @@ impl<'a> NegotiatedRouter<'a> {
             tot += d;
         }
         (mk, tot)
-    }
-
-    /// Replaces the negotiation knobs.
-    pub fn with_negotiation(mut self, negotiation: NegotiationConfig) -> NegotiatedRouter<'a> {
-        self.negotiation = negotiation;
-        self
     }
 
     /// Pre-seeds the per-segment PathFinder history counters, as if the
@@ -710,7 +690,7 @@ impl<'a> NegotiatedRouter<'a> {
             soft: true,
             pres_weight: pres,
             history: &self.history,
-            hist_weight: self.negotiation.hist_weight,
+            hist_weight: HIST_WEIGHT,
         }
     }
 
@@ -725,7 +705,7 @@ impl<'a> NegotiatedRouter<'a> {
         epoch: &mut EpochStats,
     ) -> Vec<Option<RoutePlan>> {
         self.begin_epoch();
-        let mut pres = self.negotiation.pres_weight;
+        let mut pres = PRES_WEIGHT;
 
         // Round 0: everyone routes, seeing the movers before them and
         // paying soft prices for contention.
@@ -744,12 +724,12 @@ impl<'a> NegotiatedRouter<'a> {
         // Negotiation rounds: rip up whatever crosses an over-used
         // resource and let it find a less contended path; everyone else
         // keeps their route untouched.
-        for _ in 0..self.negotiation.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             if self.mark_conflicts(state, epoch) == 0 {
                 break;
             }
             epoch.iterations += 1;
-            pres = pres.saturating_mul(self.negotiation.pres_growth);
+            pres = pres.saturating_mul(PRES_GROWTH);
             for slot in plans.iter_mut() {
                 let crosses = slot
                     .as_ref()

@@ -114,8 +114,8 @@ mod resource;
 mod router;
 
 pub use engine::{
-    EpochStats, GreedyRouter, NegotiatedRouter, NegotiationConfig, ParseRouterKindError,
-    RouteRequest, RouterFactory, RouterKind, RoutingEngine, RoutingStats, SeededNegotiated,
+    EpochStats, GreedyRouter, NegotiatedRouter, ParseRouterKindError, RouteRequest, RouterFactory,
+    RouterKind, RoutingEngine, RoutingStats, SeededNegotiated,
 };
 pub use plan::{ResourceUse, RoutePlan, Step};
 pub use resource::{Resource, ResourceState};

@@ -1,15 +1,17 @@
-//! Parser robustness: arbitrary text, and random mutations of valid
+//! Input robustness: arbitrary text, and random mutations of valid
 //! documents, fed to `Program::parse` and `Fabric::parse` (JSON spec
-//! and ASCII art). Every input must come back as `Ok` or a typed error
-//! with a message, never a panic.
+//! and ASCII art), and random small programs mapped onto random small
+//! fabrics by `Flow::run` and `Flow::compare`. Every input must come
+//! back as `Ok` or a typed error with a message, never a panic.
 
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
+use qspr::{Flow, FlowPolicy, RouterKind};
 use qspr_fabric::{Fabric, FabricSpec};
-use qspr_qasm::Program;
+use qspr_qasm::{random_program, Program, RandomProgramConfig};
 use qspr_qecc::codes::benchmark_suite;
 
 /// Committed fabric specs (JSON) plus the ASCII art of a regular one.
@@ -118,6 +120,44 @@ proptest! {
     ) {
         let input = mutate(&fabrics()[which], &edits);
         parses_or_errs("Fabric::parse", &input, Fabric::parse)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Programs of 1–15 qubits (often more than the fabric has traps)
+    /// on small `regular` and `nearest_neighbor` specs, through every
+    /// policy and both routers at m = 1.
+    #[test]
+    fn mapping_never_panics_on_small_inputs(
+        qubits in 1usize..16,
+        gates in 0usize..24,
+        seed in any::<u64>(),
+        nearest_neighbor in any::<bool>(),
+        (rows, cols, pitch) in (3u16..14, 3u16..14, 2u16..5),
+        (policy, negotiated) in (0usize..3, any::<bool>()),
+    ) {
+        let region = if nearest_neighbor {
+            let (sites_rows, sites_cols) = (rows / 4 + 1, cols / 4 + 1);
+            format!(
+                r#"{{"family":"nearest_neighbor","sites_rows":{sites_rows},"sites_cols":{sites_cols}}}"#
+            )
+        } else {
+            format!(r#"{{"family":"regular","rows":{rows},"cols":{cols},"pitch":{pitch}}}"#)
+        };
+        let spec = format!(r#"{{"name":"small","regions":[{region}]}}"#);
+        let Ok(fabric) = Fabric::parse(&spec) else {
+            return Ok(());
+        };
+        let program = random_program(&RandomProgramConfig::new(qubits, gates), seed);
+        let flow = Flow::on(fabric)
+            .seeds(1)
+            .policy([FlowPolicy::Qspr, FlowPolicy::Quale, FlowPolicy::Qpos][policy])
+            .router(if negotiated { RouterKind::Negotiated } else { RouterKind::Greedy });
+        let input = format!("{qubits} qubits, {gates} gates (seed {seed}) on {spec}");
+        parses_or_errs("Flow::run", &input, |_| flow.run(&program))?;
+        parses_or_errs("Flow::compare", &input, |_| flow.compare("small", &program))?;
     }
 }
 
