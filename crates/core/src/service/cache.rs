@@ -12,7 +12,7 @@
 //! `GET /stats` reports.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Sentinel for "no neighbor" in the intrusive recency list.
 const NONE: usize = usize::MAX;
@@ -33,21 +33,37 @@ impl ResultCache {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
-        // Poisoned only if a thread panicked mid-update, which leaves
-        // the recency list in an unknown state.
-        self.lru.lock().expect("result cache lock")
+    /// Locks the cache, poisoned or not: a panic under the lock never
+    /// fails later requests. When the panic struck mid-update, which may
+    /// have left the recency list inconsistent, the entries are dropped
+    /// (later lookups miss and re-map; the counters stay).
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        let mut lru = self.lru.lock().unwrap_or_else(PoisonError::into_inner);
+        if lru.updating {
+            lru.clear();
+        }
+        lru
+    }
+
+    /// Runs one mutation of the LRU, flagged so that a panic inside it
+    /// is detected by the next [`ResultCache::lock`].
+    fn update<R>(&self, op: impl FnOnce(&mut Lru) -> R) -> R {
+        let mut lru = self.lock();
+        lru.updating = true;
+        let out = op(&mut lru);
+        lru.updating = false;
+        out
     }
 
     /// Looks up `key`, promoting it on a hit; counts the hit or miss.
     pub(crate) fn get(&self, key: &str) -> Option<String> {
-        self.lock().get(key)
+        self.update(|lru| lru.get(key))
     }
 
     /// Inserts (or replaces) `key`, evicting the least recently used
     /// entry when full.
     pub(crate) fn insert(&self, key: String, value: String) {
-        self.lock().insert(key, value);
+        self.update(|lru| lru.insert(key, value));
     }
 
     /// The configured entry capacity.
@@ -111,6 +127,9 @@ struct Lru {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Set for the duration of each [`ResultCache::update`]; still set
+    /// afterwards only if the update panicked.
+    updating: bool,
 }
 
 /// One slab slot: a key/value pair threaded into the recency list.
@@ -137,7 +156,19 @@ impl Lru {
             hits: 0,
             misses: 0,
             evictions: 0,
+            updating: false,
         }
+    }
+
+    /// Drops every entry, keeping the capacity and the counters.
+    fn clear(&mut self) {
+        self.map.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.head = NONE;
+        self.tail = NONE;
+        self.bytes = 0;
+        self.updating = false;
     }
 
     /// Looks `key` up: a hit is promoted and cloned out.
@@ -254,6 +285,44 @@ mod tests {
 
     fn put(cache: &ResultCache, key: &str, value: &str) {
         cache.insert(key.into(), value.into());
+    }
+
+    /// Panics on a scoped thread while `op` runs under the cache lock.
+    fn panic_under_lock(cache: &ResultCache, op: impl FnOnce(&ResultCache) + Send) {
+        let joined = std::thread::scope(|scope| scope.spawn(|| op(cache)).join());
+        assert!(joined.is_err());
+        assert!(cache.lru.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_cache_keeps_serving() {
+        let cache = ResultCache::new(4);
+        put(&cache, "a", "1");
+        assert_eq!(cache.get("a").as_deref(), Some("1"));
+
+        // A panic while merely holding the lock leaves the entries.
+        panic_under_lock(&cache, |cache| {
+            let _held = cache.lock();
+            panic!("deliberate panic under the cache lock");
+        });
+        assert_eq!(cache.get("a").as_deref(), Some("1"));
+
+        // A panic mid-update drops them; the counters survive and the
+        // cache works on, still poisoned, without further resets.
+        panic_under_lock(&cache, |cache| {
+            cache.update(|lru| {
+                lru.head = NONE;
+                panic!("deliberate panic mid-update");
+            })
+        });
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.audit_bytes(), 0);
+        assert_eq!((cache.hits(), cache.misses()), (2, 0));
+        assert_eq!(cache.get("a"), None);
+        put(&cache, "b", "2");
+        put(&cache, "c", "3");
+        assert_eq!(cache.get("b").as_deref(), Some("2"));
+        assert_eq!(recency(&cache), ["b", "c"]);
     }
 
     #[test]

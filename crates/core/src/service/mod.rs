@@ -117,13 +117,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use qspr_fabric::Fabric;
-use qspr_obs::{Counter, Registry};
+use qspr_obs::{Counter, Histogram, Registry};
 use qspr_qasm::Program;
 use qspr_route::RouterKind;
 
@@ -298,6 +299,7 @@ pub struct MapService {
     /// lookup takes no registry lock.
     hit_metric: Arc<Counter>,
     miss_metric: Arc<Counter>,
+    request_metrics: RequestMetrics,
     counters: Counters,
     /// The Prometheus-rendered metrics behind `GET /metrics`.
     metrics: Arc<Registry>,
@@ -379,6 +381,7 @@ impl MapService {
                 "Mapping-cache misses (cold mappings executed).",
                 &[],
             ),
+            request_metrics: RequestMetrics::default(),
             counters: Counters::default(),
             metrics,
             bound_addr: Mutex::new(None),
@@ -424,7 +427,7 @@ impl MapService {
     /// Records the address a [`Server`] bound this service to (surfaced
     /// in `/stats`).
     pub fn set_bound_addr(&self, addr: SocketAddr) {
-        *self.bound_addr.lock().expect("bound_addr lock") = Some(addr);
+        *lock_unpoisoned(&self.bound_addr) = Some(addr);
     }
 
     /// `true` once a `POST /shutdown` (or [`MapService::request_shutdown`])
@@ -460,22 +463,80 @@ impl MapService {
             busy_us: c.busy_us.load(Ordering::Relaxed),
             uptime_ms: uptime.as_millis() as u64,
             uptime_s: uptime.as_secs(),
-            addr: self
-                .bound_addr
-                .lock()
-                .expect("bound_addr lock")
-                .map_or(String::new(), |addr| addr.to_string()),
+            addr: lock_unpoisoned(&self.bound_addr).map_or(String::new(), |addr| addr.to_string()),
         }
     }
 
     /// Routes one request to its endpoint and produces the response.
     ///
     /// This is the whole service minus the socket: deterministic,
-    /// lock-scoped, safe to call from any number of threads.
+    /// lock-scoped, safe to call from any number of threads. It never
+    /// unwinds: a panic inside an endpoint is answered `500
+    /// {"error":"internal error: ..."}` and counted like any other
+    /// error, so the worker thread that called it lives on to serve
+    /// the next request.
     pub fn handle(&self, request: &Request) -> Response {
         let t0 = Instant::now();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match (request.method.as_str(), request.path.as_str()) {
+        let response = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(request)))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("handler panicked");
+                error_response(500, &format!("internal error: {message}"))
+            });
+        if response.status >= 400 {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let elapsed_us = t0.elapsed().as_micros() as u64;
+        self.counters
+            .busy_us
+            .fetch_add(elapsed_us, Ordering::Relaxed);
+        let endpoint = endpoint_index(&request.path);
+        self.count_request(endpoint, response.status);
+        self.request_metrics.latency[endpoint]
+            .get_or_init(|| {
+                self.metrics.histogram(
+                    "qspr_handler_latency_us",
+                    "Wall-clock handler time per request, microseconds.",
+                    &[("endpoint", endpoint_label(endpoint))],
+                )
+            })
+            .record(elapsed_us);
+        response
+    }
+
+    /// Bumps `qspr_http_requests_total` for one answered request
+    /// through the handle [`RequestMetrics`] keeps for it.
+    fn count_request(&self, endpoint: usize, status: u16) {
+        let make = || {
+            self.metrics.counter(
+                "qspr_http_requests_total",
+                "Requests handled, by endpoint and status.",
+                &[
+                    ("endpoint", endpoint_label(endpoint)),
+                    ("status", &status.to_string()),
+                ],
+            )
+        };
+        match STATUSES.iter().position(|&s| s == status) {
+            Some(k) => self.request_metrics.requests[endpoint][k]
+                .get_or_init(make)
+                .inc(),
+            None => make().inc(),
+        }
+    }
+
+    /// Answers `request` from the endpoint its method and path select:
+    /// the part of [`MapService::handle`] that may panic.
+    fn dispatch(&self, request: &Request) -> Response {
+        #[cfg(test)]
+        if request.body == tests::PANIC_BODY {
+            panic!("deliberate handler panic");
+        }
+        match (request.method.as_str(), request.path.as_str()) {
             // The version is the one `qspr --version` prints; both read
             // the same Cargo manifest field at compile time.
             ("GET", "/healthz") => Response::new(
@@ -500,31 +561,7 @@ impl MapService {
                 error_response(405, &format!("method {} not allowed here", request.method))
             }
             (_, path) => error_response(404, &format!("no endpoint {path}")),
-        };
-        if response.status >= 400 {
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let elapsed_us = t0.elapsed().as_micros() as u64;
-        self.counters
-            .busy_us
-            .fetch_add(elapsed_us, Ordering::Relaxed);
-        let endpoint = endpoint_label(&request.path);
-        let status = response.status.to_string();
-        self.metrics
-            .counter(
-                "qspr_http_requests_total",
-                "Requests handled, by endpoint and status.",
-                &[("endpoint", endpoint), ("status", &status)],
-            )
-            .inc();
-        self.metrics
-            .histogram(
-                "qspr_handler_latency_us",
-                "Wall-clock handler time per request, microseconds.",
-                &[("endpoint", endpoint)],
-            )
-            .record(elapsed_us);
-        response
     }
 
     /// The `429 Too Many Requests` answer for a request the reactor
@@ -535,13 +572,7 @@ impl MapService {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .counter(
-                "qspr_http_requests_total",
-                "Requests handled, by endpoint and status.",
-                &[("endpoint", endpoint), ("status", "429")],
-            )
-            .inc();
+        self.count_request(endpoint_index(endpoint), 429);
         self.metrics
             .counter(
                 "qspr_rejected_total",
@@ -567,14 +598,7 @@ impl MapService {
         } else {
             400
         };
-        let status_text = status.to_string();
-        self.metrics
-            .counter(
-                "qspr_http_requests_total",
-                "Requests handled, by endpoint and status.",
-                &[("endpoint", "other"), ("status", &status_text)],
-            )
-            .inc();
+        self.count_request(KNOWN_PATHS.len(), status);
         error_response(status, &error.to_string())
     }
 
@@ -770,7 +794,7 @@ impl MapService {
             return configure(Flow::on(fabric));
         }
         let key = format!("{policy}|{router}|{seeds}|{trace}|{jobs}");
-        let mut flows = self.flows.lock().expect("flows lock");
+        let mut flows = lock_unpoisoned(&self.flows);
         flows
             .entry(key)
             .or_insert_with(|| configure(Flow::on(Arc::clone(&self.fabric))))
@@ -791,15 +815,44 @@ const KNOWN_PATHS: &[&str] = &[
     "/batch",
 ];
 
-/// The metrics label for a request path. Unknown paths share one
-/// `"other"` label so an untrusted peer cannot grow the registry
+/// The metrics slot of a request path: its index in [`KNOWN_PATHS`],
+/// or `KNOWN_PATHS.len()` for every unknown path. Unknown paths share
+/// one `"other"` label so an untrusted peer cannot grow the registry
 /// without bound.
-fn endpoint_label(path: &str) -> &'static str {
+fn endpoint_index(path: &str) -> usize {
     KNOWN_PATHS
         .iter()
-        .find(|&&known| known == path)
-        .copied()
-        .unwrap_or("other")
+        .position(|&known| known == path)
+        .unwrap_or(KNOWN_PATHS.len())
+}
+
+/// The metrics label of an [`endpoint_index`] slot.
+fn endpoint_label(index: usize) -> &'static str {
+    KNOWN_PATHS.get(index).copied().unwrap_or("other")
+}
+
+/// The statuses [`RequestMetrics`] keeps counter handles for; a rarer
+/// status is looked up in the registry on each use.
+const STATUSES: [u16; 8] = [200, 400, 404, 405, 413, 422, 429, 500];
+
+/// The per-request metric handles of a [`MapService`]:
+/// `qspr_http_requests_total` per endpoint slot and status, and
+/// `qspr_handler_latency_us` per endpoint slot. A handle is made on the
+/// first request that needs it, so `/metrics` lists exactly the series
+/// the traffic produced, and is reused after that without taking the
+/// registry lock.
+#[derive(Default)]
+struct RequestMetrics {
+    requests: [[OnceLock<Arc<Counter>>; STATUSES.len()]; KNOWN_PATHS.len() + 1],
+    latency: [OnceLock<Arc<Histogram>>; KNOWN_PATHS.len() + 1],
+}
+
+/// Locks `mutex` even if a panicking request poisoned it. Used for the
+/// service's plain maps and slots, whose every update is a single
+/// insert or store that leaves them consistent however a panic
+/// elsewhere unwound.
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The cache-key fragment for a request-supplied fabric document. The

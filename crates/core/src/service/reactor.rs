@@ -30,7 +30,10 @@
 //! ever reaching a worker. Per-connection pipelining is capped, idle
 //! and half-dead connections (slowloris dribbles, clients that never
 //! read) are reaped on a deadline, and the total connection count is
-//! bounded. On shutdown the reactor stops accepting and reading,
+//! bounded. [`MapService::handle`](super::MapService::handle) never
+//! unwinds (a panicking endpoint answers `500`), so neither a worker
+//! nor the poll loop, which answers light endpoints inline, can be
+//! lost to one bad request. On shutdown the reactor stops accepting and reading,
 //! finishes in-flight requests, flushes every buffered response (with
 //! a hard deadline), and joins its workers.
 

@@ -14,6 +14,10 @@ const BELL: &str = "QUBIT a\nQUBIT b\nH a\nC-X a,b\n";
 /// A three-qubit companion for batch tests.
 const GHZ3: &str = "QUBIT a\nQUBIT b\nQUBIT c\nH a\nC-X a,b\nC-X b,c\n";
 
+/// A request body that makes the service panic inside its endpoint
+/// dispatch (test builds only), on whichever endpoint receives it.
+pub(super) const PANIC_BODY: &str = "{\"deliberate\":\"panic\"}";
+
 fn service() -> MapService {
     MapService::new(Fabric::quale_45x85(), 64)
 }
@@ -1175,6 +1179,74 @@ fn a_program_larger_than_the_fabric_is_422_and_the_worker_lives_on() {
         .unwrap();
     assert_eq!(bell.status, 200, "{}", bell.body);
     handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_the_worker_lives_on() {
+    // One worker: had the panic unwound through it, the `/map` requests
+    // after it would never be answered.
+    let service = Arc::new(service());
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind(Arc::clone(&service), &config)
+        .expect("bind ephemeral")
+        .spawn();
+    let mut client = http::Client::connect(handle.addr()).unwrap();
+    let bell = format!("{{\"program\":{BELL:?},\"m\":2}}");
+    assert_eq!(client.send("POST", "/map", &bell).unwrap().status, 200);
+    for path in ["/map", "/healthz"] {
+        let response = client.send("POST", path, PANIC_BODY).unwrap();
+        assert_eq!(response.status, 500, "{path}: {}", response.body);
+        assert_eq!(
+            response.body,
+            r#"{"error":"internal error: deliberate handler panic"}"#
+        );
+    }
+    for _ in 0..2 {
+        let response = client.send("POST", "/map", &bell).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    let fresh = format!("{{\"program\":{GHZ3:?},\"m\":2}}");
+    assert_eq!(client.send("POST", "/map", &fresh).unwrap().status, 200);
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.errors), (6, 2));
+    let metrics = service.metrics().render();
+    assert!(
+        metrics.contains("qspr_http_requests_total{endpoint=\"/map\",status=\"500\"} 1\n"),
+        "{metrics}"
+    );
+    handle.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn metrics_text_lists_only_the_series_traffic_produced() {
+    // The per-request handles are made on first use: a fresh service
+    // exposes no request series, and one request adds exactly its own.
+    let service = service();
+    assert!(!service
+        .metrics()
+        .render()
+        .contains("qspr_http_requests_total"));
+    assert_eq!(get(&service, "/healthz").status, 200);
+    let text = service.metrics().render();
+    let series: Vec<&str> = text
+        .lines()
+        .filter(|l| {
+            l.starts_with("qspr_http_requests_total")
+                || l.starts_with("qspr_handler_latency_us_count")
+        })
+        .collect();
+    assert_eq!(
+        series,
+        [
+            "qspr_handler_latency_us_count{endpoint=\"/healthz\"} 1",
+            "qspr_http_requests_total{endpoint=\"/healthz\",status=\"200\"} 1",
+        ],
+        "{text}"
+    );
 }
 
 #[test]

@@ -208,7 +208,7 @@ impl SearchGraph {
 }
 
 /// One routing metric's goal-distance rows over a topology, one lazily
-/// filled slot per target segment.
+/// filled slot per target segment and one per single target node.
 ///
 /// Row `dst` holds the empty-fabric distance from every search node to
 /// the junction-attached ends of segment `dst` (in the segment's
@@ -239,6 +239,9 @@ pub struct GoalFields {
     t_move: Time,
     turn_weight: Time,
     rows: Box<[OnceLock<Box<[u32]>>]>,
+    /// Single-goal rows, one lazily filled slot per search node (see
+    /// [`GoalFields::node_row`]).
+    node_rows: Box<[OnceLock<Box<[u32]>>]>,
 }
 
 impl GoalFields {
@@ -274,6 +277,27 @@ impl GoalFields {
                 .goal_distances(goals, self.t_move, self.turn_weight)
         })
     }
+
+    /// Distance from every search node to the single node `goal`,
+    /// filled on first use. Where [`GoalFields::row`] gives the nearer
+    /// of a segment's two ends, this tells the ends apart, which an
+    /// exact trap-to-trap distance needs: the leg into the target trap
+    /// costs differently from each end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` is not the one the table was obtained from
+    /// (detected by node count) or `goal` is not one of its nodes.
+    pub fn node_row(&self, topology: &Topology, goal: usize) -> &[u32] {
+        let graph = topology.search_graph();
+        assert_eq!(
+            self.node_rows.len(),
+            graph.num_nodes(),
+            "goal fields used with a foreign topology"
+        );
+        self.node_rows[goal]
+            .get_or_init(|| graph.goal_distances([goal], self.t_move, self.turn_weight))
+    }
 }
 
 /// The per-topology registry of [`GoalFields`], one table per metric.
@@ -292,6 +316,7 @@ impl GoalTable {
     pub(crate) fn fields(
         &self,
         n_segments: usize,
+        n_nodes: usize,
         t_move: Time,
         turn_weight: Time,
     ) -> Arc<GoalFields> {
@@ -304,6 +329,7 @@ impl GoalTable {
             t_move,
             turn_weight,
             rows: (0..n_segments).map(|_| OnceLock::new()).collect(),
+            node_rows: (0..n_nodes).map(|_| OnceLock::new()).collect(),
         });
         metrics.push(Arc::clone(&fields));
         fields
@@ -372,6 +398,43 @@ mod tests {
     #[test]
     fn quale_goal_rows_equal_fresh_dijkstra() {
         crate::proptests::assert_rows_match_reference(Fabric::quale_45x85().topology());
+    }
+
+    #[test]
+    fn node_rows_split_segment_rows_by_end() {
+        // A segment row is the elementwise minimum of its end nodes'
+        // single-goal rows, and each node row is a fresh single-goal
+        // Dijkstra filled once.
+        let fabric = crate::RegularFabricSpec::new(13, 17, 4).build().unwrap();
+        let topo = fabric.topology();
+        let fields = topo.goal_fields(1, 10);
+        for (i, seg) in topo.segments().iter().enumerate() {
+            let ends: Vec<usize> = seg
+                .ends()
+                .into_iter()
+                .filter_map(|e| e.junction())
+                .map(|j| SearchGraph::node(j, seg.orientation()))
+                .collect();
+            let merged: Vec<u32> = (0..topo.search_graph().num_nodes())
+                .map(|n| {
+                    ends.iter()
+                        .map(|&g| fields.node_row(topo, g)[n])
+                        .min()
+                        .unwrap_or(GoalFields::UNREACHABLE)
+                })
+                .collect();
+            assert_eq!(fields.row(topo, SegmentId(i as u32)), &merged[..]);
+            for &g in &ends {
+                assert_eq!(
+                    fields.node_row(topo, g),
+                    &*topo.search_graph().goal_distances([g], 1, 10)
+                );
+                assert!(std::ptr::eq(
+                    fields.node_row(topo, g),
+                    topo.goal_fields(1, 10).node_row(topo, g)
+                ));
+            }
+        }
     }
 
     #[test]

@@ -361,8 +361,12 @@ impl Topology {
     /// the same table, so its rows are computed once per fabric rather
     /// than once per router; different weights never share rows.
     pub fn goal_fields(&self, t_move: Time, turn_weight: Time) -> Arc<GoalFields> {
-        self.goal_table
-            .fields(self.segments.len(), t_move, turn_weight)
+        self.goal_table.fields(
+            self.segments.len(),
+            self.search.num_nodes(),
+            t_move,
+            turn_weight,
+        )
     }
 
     /// The capacity override of a segment, `None` when it uses the

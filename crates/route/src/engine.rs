@@ -20,6 +20,17 @@
 //!   committed under hard capacities and never worse than the greedy
 //!   answer for the same batch.
 //!
+//! Most negotiations settle long before the cap: every ripped mover
+//! gets its old path back, and the only conflicts left sit on movers'
+//! own source or target segments, which no path can avoid. From such a
+//! round on the result is decided, so the engine skips the remaining
+//! rounds and applies their effects directly (history, stats and
+//! estimated costs exactly as the full loop leaves them; see
+//! `NegotiatedRouter::fast_forward` for the rule and why it is exact).
+//! Batches whose greedy answer already sits on the empty-fabric lower
+//! bound skip negotiation altogether; that bound is read from the
+//! fabric's shared distance rows, not searched per MVFB pass.
+//!
 //! Engines are object safe, so callers hold a `dyn RoutingEngine` and
 //! swap implementations the same way placers plug into a flow. Each
 //! batch reports an [`EpochStats`]; an engine accumulates them into
@@ -50,8 +61,9 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
-use qspr_fabric::{Time, Topology, TrapId};
+use qspr_fabric::{GoalFields, SearchGraph, Time, Topology, TrapId};
 
 use crate::plan::RoutePlan;
 use crate::resource::{Resource, ResourceState};
@@ -434,7 +446,10 @@ impl RoutingEngine for GreedyRouter<'_> {
 /// (`route_batch` keeps the greedy answer unless negotiation strictly
 /// beats it, and `refine_epoch` keeps the incumbents likewise) floor
 /// the result at the greedy solution regardless of how early the loop
-/// stops.
+/// stops. Every negotiation behaves as if it ran all of them: a loop
+/// that settles earlier (see [`NegotiatedRouter::fast_forward`]) adds
+/// the skipped rounds' iterations, rips, history and costs without
+/// searching.
 const MAX_ITERATIONS: u32 = 4;
 
 /// Initial present-congestion penalty per unit of overuse (cost units,
@@ -484,9 +499,18 @@ pub struct NegotiatedRouter<'a> {
     conflict_gen: u32,
     scratch: ResourceState,
     stats: RoutingStats,
-    uncon: Router<'a>,
-    empty: ResourceState,
-    uncon_cache: std::collections::HashMap<(TrapId, TrapId), Time>,
+    /// The fabric's shared empty-fabric distance rows under the
+    /// turn-aware metric, behind the lower-bound gate
+    /// ([`NegotiatedRouter::min_duration`]).
+    bound_fields: Arc<GoalFields>,
+    /// Test-only: run every rip-up round even when the settled-round
+    /// rule would fast-forward them, as the reference to compare with.
+    #[cfg(test)]
+    full_loop: bool,
+    /// Test-only: negotiations whose remaining rounds were
+    /// fast-forwarded.
+    #[cfg(test)]
+    fast_forwards: usize,
 }
 
 impl<'a> NegotiatedRouter<'a> {
@@ -508,35 +532,60 @@ impl<'a> NegotiatedRouter<'a> {
             conflict_gen: 0,
             scratch: ResourceState::new(topology),
             stats: RoutingStats::default(),
-            uncon: Router::new(
-                topology,
-                RouterConfig {
-                    turn_aware: true,
-                    history_cost: false,
-                    ..config
-                },
-            ),
-            empty: ResourceState::new(topology),
-            uncon_cache: std::collections::HashMap::new(),
+            bound_fields: topology.goal_fields(config.t_move, config.t_turn),
+            #[cfg(test)]
+            full_loop: false,
+            #[cfg(test)]
+            fast_forwards: 0,
         }
     }
 
     /// Minimum achievable travel duration from `from` to `to` on an
-    /// empty fabric, cached per trap pair. The unconstrained router is
-    /// turn-aware with history pricing off, so on an empty state its
-    /// min-cost plan is also the min-duration plan (every plan's cost
-    /// is its duration plus the fixed `2 * t_move` port overhead), and
-    /// no resource state or negotiation overlay can ever do better.
-    fn min_duration(&mut self, from: TrapId, to: TrapId) -> Time {
-        if let Some(&d) = self.uncon_cache.get(&(from, to)) {
-            return d;
+    /// empty fabric (0 when no path exists), which no resource state or
+    /// negotiation overlay can beat.
+    ///
+    /// On an empty fabric every resource is free (capacities are at
+    /// least 1), so a plan's duration is its moves times `t_move` plus
+    /// its turns times `t_turn`. The fastest plan is therefore the
+    /// cheaper of the direct same-segment walk and the best via route:
+    /// source leg to a source-segment end, the empty-fabric distance
+    /// between that end and a target-segment end in the turn-aware
+    /// metric, then the target leg. The fabric's shared single-node
+    /// rows ([`GoalFields::node_row`]) hold those distances, so the
+    /// answer needs no search and is shared by every MVFB pass and
+    /// thread over the same fabric.
+    fn min_duration(&self, from: TrapId, to: TrapId) -> Time {
+        if from == to {
+            return 0;
         }
-        let d = self
-            .uncon
-            .route(&self.empty, from, to)
-            .map_or(0, |p| p.duration());
-        self.uncon_cache.insert((from, to), d);
-        d
+        let topo = self.router.topology();
+        let t_move = self.router.config().t_move;
+        let (pf, pt) = (topo.trap(from).port(), topo.trap(to).port());
+        let (src, dst) = (topo.segment(pf.segment), topo.segment(pt.segment));
+        let mut best = (pf.segment == pt.segment)
+            .then(|| (2 + Time::from(pf.offset.abs_diff(pt.offset))) * t_move);
+        for (f, dst_end) in dst.ends().into_iter().enumerate() {
+            let Some(jf) = dst_end.junction() else {
+                continue;
+            };
+            let row = self
+                .bound_fields
+                .node_row(topo, SearchGraph::node(jf, dst.orientation()));
+            let target_leg = (Time::from(dst.moves_to_end(pt.offset, f)) + 1) * t_move;
+            for (e, src_end) in src.ends().into_iter().enumerate() {
+                let Some(je) = src_end.junction() else {
+                    continue;
+                };
+                let d = row[SearchGraph::node(je, src.orientation())];
+                if d == GoalFields::UNREACHABLE {
+                    continue;
+                }
+                let source_leg = (1 + Time::from(src.moves_to_end(pf.offset, e))) * t_move;
+                let via = source_leg + Time::from(d) + target_leg;
+                best = Some(best.map_or(via, |b| b.min(via)));
+            }
+        }
+        best.unwrap_or(0)
     }
 
     /// Component-wise `(makespan, total)` lower bound over every joint
@@ -545,7 +594,7 @@ impl<'a> NegotiatedRouter<'a> {
     /// the incumbent — each component of any joint answer is bounded
     /// below by the corresponding component here — so the negotiation
     /// can be skipped without changing which plans get adopted.
-    fn joint_lower_bound(&mut self, requests: &[RouteRequest]) -> (Time, Time) {
+    fn joint_lower_bound(&self, requests: &[RouteRequest]) -> (Time, Time) {
         let mut mk = 0;
         let mut tot = 0;
         for req in requests {
@@ -694,10 +743,127 @@ impl<'a> NegotiatedRouter<'a> {
         }
     }
 
+    /// `true` when every conflicted resource on every crossing plan is
+    /// that plan's own source-port or target-port segment, and no
+    /// crossing plan is a via route out of and back into one segment
+    /// (part (b) of the settled-round rule, see
+    /// [`NegotiatedRouter::fast_forward`]).
+    fn settled_on_ports(&self, plans: &[Option<RoutePlan>]) -> bool {
+        let topo = self.router.topology();
+        plans
+            .iter()
+            .flatten()
+            .all(|p| conflicts_only_on_ports(topo, p, |r| self.is_conflicted(r)))
+    }
+
+    /// Applies the `rest` remaining rip-up rounds of a settled
+    /// negotiation without running them: exactly the history, stats
+    /// and estimated costs the full loop would leave.
+    ///
+    /// The rule: a round has *settled* when (a) every ripped mover got
+    /// back the path it had (by steps; the estimated cost moves with
+    /// the prices), and (b) every conflicted resource on every crossing
+    /// plan is that plan's own source-port or target-port segment, the
+    /// two being different segments unless the plan is the direct
+    /// same-segment walk.
+    ///
+    /// Why the later rounds cannot change a path: by (a) the batch
+    /// bookings are what they were, so each later round marks the same
+    /// conflicts and rips the same crossers, each seeing the same other
+    /// plans. Between two rounds a crosser's soft prices change only by
+    /// a larger present weight and one more unit of history on the
+    /// conflicted segments. Its current path pays those only on its own
+    /// port segments (any other resource it uses is within capacity
+    /// with it included, so it costs no present price and carries no
+    /// conflict history), and it pays each of them once. Every other
+    /// path must also leave the source segment and enter the target
+    /// segment, paying the same two surcharges at least once; when the
+    /// ports share a segment, the direct walk pays it once and any via
+    /// route twice. All other price changes are increases on resources
+    /// the current path does not use. So the current path's cost rises
+    /// by a constant that every rival's cost rises by at least as
+    /// much. A path that re-crosses its own source or target segment
+    /// pays that segment again and is strictly dominated, since the
+    /// detour costs moves. The search is exact (it matches a
+    /// run-to-exhaustion Dijkstra, which `route_naive` pins) and breaks
+    /// ties by heap order over costs that the uniform shift preserves,
+    /// so it returns the same path in every later round.
+    ///
+    /// What those rounds would have done, applied directly:
+    /// * each marks the same conflicts, so every conflicted segment
+    ///   gains `rest` units of history and the peak pressure stays;
+    /// * each counts one iteration and rips every crosser once;
+    /// * the last re-route prices each crosser at the final present
+    ///   weight, so its estimated cost gains, per conflicted segment it
+    ///   uses, `overuse × (final_pres − pres) + rest × HIST_WEIGHT`.
+    fn fast_forward(
+        &mut self,
+        state: &ResourceState,
+        plans: &mut [Option<RoutePlan>],
+        pres: u64,
+        rest: u32,
+        epoch: &mut EpochStats,
+    ) {
+        #[cfg(test)]
+        {
+            self.fast_forwards += 1;
+        }
+        let final_pres = (0..rest).fold(pres, |p, _| p.saturating_mul(PRES_GROWTH));
+        for &r in &self.touched {
+            if let Resource::Segment(s) = r {
+                if self.seg_conflict[s.index()] == self.conflict_gen {
+                    self.history[s.index()] += rest;
+                }
+            }
+        }
+        let mut crossers = 0;
+        for plan in plans.iter_mut().flatten() {
+            let mut crosses = false;
+            let mut added = 0u64;
+            for u in plan.resources() {
+                if !self.is_conflicted(u.resource) {
+                    continue;
+                }
+                let Resource::Segment(s) = u.resource else {
+                    unreachable!("a settled negotiation has no conflicted junction");
+                };
+                crosses = true;
+                // The overuse this plan saw when it was re-routed, with
+                // its own booking lifted off the batch.
+                let others = state
+                    .usage(u.resource)
+                    .saturating_add(self.extra_segments[s.index()] - 1);
+                let overuse = u64::from(others) + 1 - u64::from(self.router.capacity(u.resource));
+                added = added
+                    .saturating_add(overuse.saturating_mul(final_pres - pres))
+                    .saturating_add(u64::from(rest) * HIST_WEIGHT);
+            }
+            if crosses {
+                crossers += 1;
+                plan.add_est_cost(added);
+            }
+        }
+        epoch.iterations += rest;
+        epoch.ripped += rest * crossers;
+    }
+
+    /// Whether the settled-round fast-forward is off (test builds can
+    /// switch it off to compare against the full loop).
+    #[cfg(not(test))]
+    fn full_loop(&self) -> bool {
+        false
+    }
+
+    #[cfg(test)]
+    fn full_loop(&self) -> bool {
+        self.full_loop
+    }
+
     /// The negotiation proper: soft-capacity routing plus incremental
     /// rip-up-and-reroute (each round re-routes only the movers
-    /// touching a conflicted resource), then a hard-capacity commit
-    /// pass.
+    /// touching a conflicted resource, and a settled round ends the
+    /// loop early, see [`NegotiatedRouter::fast_forward`]), then a
+    /// hard-capacity commit pass.
     fn negotiate(
         &mut self,
         state: &ResourceState,
@@ -724,12 +890,14 @@ impl<'a> NegotiatedRouter<'a> {
         // Negotiation rounds: rip up whatever crosses an over-used
         // resource and let it find a less contended path; everyone else
         // keeps their route untouched.
-        for _ in 0..MAX_ITERATIONS {
+        for round in 0..MAX_ITERATIONS {
             if self.mark_conflicts(state, epoch) == 0 {
                 break;
             }
             epoch.iterations += 1;
             pres = pres.saturating_mul(PRES_GROWTH);
+            // Whether every ripped mover got its old path back.
+            let mut unchanged = true;
             for slot in plans.iter_mut() {
                 let crosses = slot
                     .as_ref()
@@ -750,7 +918,13 @@ impl<'a> NegotiatedRouter<'a> {
                 if let Some(p) = &plan {
                     self.book_extra(p);
                 }
+                unchanged &= plan.as_ref().is_some_and(|p| p.steps() == ripped.steps());
                 *slot = plan;
+            }
+            let rest = MAX_ITERATIONS - round - 1;
+            if rest > 0 && unchanged && !self.full_loop() && self.settled_on_ports(&plans) {
+                self.fast_forward(state, &mut plans, pres, rest, epoch);
+                break;
             }
         }
 
@@ -882,6 +1056,32 @@ impl RoutingEngine for NegotiatedRouter<'_> {
     }
 }
 
+/// `true` when every resource of `plan` that `conflicted` flags is the
+/// plan's own source-port or target-port segment, and the plan is not a
+/// via route whose two ports share a segment (such a route pays that
+/// segment twice, so its rivals' costs do not shift uniformly).
+fn conflicts_only_on_ports(
+    topo: &Topology,
+    plan: &RoutePlan,
+    conflicted: impl Fn(Resource) -> bool,
+) -> bool {
+    let src = topo.trap(plan.from_trap()).port().segment;
+    let dst = topo.trap(plan.to_trap()).port().segment;
+    let mut crosses = false;
+    for u in plan.resources() {
+        if !conflicted(u.resource) {
+            continue;
+        }
+        crosses = true;
+        match u.resource {
+            Resource::Segment(s) if s == src || s == dst => {}
+            _ => return false,
+        }
+    }
+    let direct = plan.resources().len() == 1;
+    !crosses || src != dst || direct
+}
+
 /// `true` when booking every resource of `plan` on top of `state` stays
 /// within the effective (per-resource) capacities.
 fn fits(state: &ResourceState, plan: &RoutePlan, router: &Router<'_>) -> bool {
@@ -955,6 +1155,7 @@ fn greedy_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Step;
     use qspr_fabric::{Coord, Fabric, TechParams};
 
     fn quale() -> Fabric {
@@ -1157,6 +1358,311 @@ mod tests {
                     "capacity-1 overlap on {}",
                     u.resource
                 );
+            }
+        }
+    }
+
+    /// Runs one negotiation on a fast-forwarding engine and on a
+    /// full-loop copy of it, asserts both leave identical plans
+    /// (estimated costs included), epoch stats and history, and
+    /// returns how many negotiations the first one fast-forwarded.
+    fn negotiate_both_ways(
+        ff: &mut NegotiatedRouter<'_>,
+        full: &mut NegotiatedRouter<'_>,
+        state: &ResourceState,
+        requests: &[RouteRequest],
+    ) -> usize {
+        full.full_loop = true;
+        let before = ff.fast_forwards;
+        let (mut ff_epoch, mut full_epoch) = (EpochStats::default(), EpochStats::default());
+        let ff_plans = ff.negotiate(state, requests, &mut ff_epoch);
+        let full_plans = full.negotiate(state, requests, &mut full_epoch);
+        assert_eq!(ff_plans, full_plans, "plans of {requests:?}");
+        assert_eq!(ff_epoch, full_epoch, "epoch stats of {requests:?}");
+        assert_eq!(ff.history, full.history, "history after {requests:?}");
+        assert_eq!(full.fast_forwards, 0);
+        ff.fast_forwards - before
+    }
+
+    #[test]
+    fn settled_port_conflicts_fast_forward_to_the_full_loop_answer() {
+        // Capacity-1 channels (junctions roomy), three movers leaving
+        // one segment for far-apart targets: each must cross its own
+        // source segment, so the negotiation settles with the conflict
+        // there and the remaining rounds are skipped.
+        let fabric = quale();
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = RouterConfig {
+            channel_capacity: 1,
+            junction_capacity: 3,
+            ..RouterConfig::qspr(&tech)
+        };
+        let order = topo.traps_by_distance(fabric.center());
+        let seg = topo.trap(order[0]).port().segment;
+        let sources: Vec<TrapId> = order
+            .iter()
+            .copied()
+            .filter(|&t| topo.trap(t).port().segment == seg)
+            .take(3)
+            .collect();
+        assert_eq!(sources.len(), 3, "quale segments carry several ports");
+        let far = topo.traps_by_distance(Coord::new(0, 0));
+        let requests: Vec<RouteRequest> = sources
+            .iter()
+            .zip([far[0], far[200], far[400]])
+            .map(|(&from, to)| RouteRequest::new(from, to))
+            .collect();
+        let state = ResourceState::new(topo);
+        let mut ff = NegotiatedRouter::new(topo, config);
+        let mut full = NegotiatedRouter::new(topo, config);
+        let fired = negotiate_both_ways(&mut ff, &mut full, &state, &requests);
+        assert_eq!(fired, 1, "a shared source segment settles the negotiation");
+        let mut epoch = EpochStats::default();
+        full.negotiate(&state, &requests, &mut epoch);
+        assert_eq!(
+            epoch.iterations, MAX_ITERATIONS,
+            "the full loop runs every round"
+        );
+    }
+
+    #[test]
+    fn junction_conflict_fixed_point_is_not_fast_forwarded() {
+        // One capacity-1 junction that both movers must cross: they get
+        // their paths back every round, but the conflict sits on the
+        // junction, not on a port segment, so every round runs.
+        let fabric = Fabric::from_ascii(
+            "...|...\n\
+             ..T|...\n\
+             T..|...\n\
+             ---+---\n\
+             ...|..T\n\
+             ...|T..\n\
+             ...|...\n",
+        )
+        .unwrap();
+        let topo = fabric.topology();
+        let tech = TechParams::date2012();
+        let config = RouterConfig {
+            channel_capacity: 2,
+            junction_capacity: 1,
+            ..RouterConfig::qspr(&tech)
+        };
+        let trap = |row, col| topo.trap_at(Coord::new(row, col)).unwrap();
+        let requests = [
+            RouteRequest::new(trap(2, 0), trap(4, 6)),
+            RouteRequest::new(trap(1, 2), trap(5, 4)),
+        ];
+        let state = ResourceState::new(topo);
+        let mut ff = NegotiatedRouter::new(topo, config);
+        let mut full = NegotiatedRouter::new(topo, config);
+        assert_eq!(
+            negotiate_both_ways(&mut ff, &mut full, &state, &requests),
+            0
+        );
+        let mut epoch = EpochStats::default();
+        ff.negotiate(&state, &requests, &mut epoch);
+        assert_eq!(epoch.iterations, MAX_ITERATIONS);
+        assert_eq!(epoch.ripped, 2 * MAX_ITERATIONS);
+    }
+
+    #[test]
+    fn same_segment_via_plan_is_not_settled_on_ports() {
+        // The soft search always walks a same-segment pair directly (a
+        // via route pays the shared segment twice), so the via plan is
+        // built by hand: out of the segment through a junction and back.
+        let fabric = quale();
+        let topo = fabric.topology();
+        let (a, b, seg) = topo
+            .traps()
+            .iter()
+            .enumerate()
+            .find_map(|(i, t)| {
+                let seg = t.port().segment;
+                let j =
+                    (i + 1..topo.traps().len()).find(|&j| topo.traps()[j].port().segment == seg)?;
+                Some((TrapId(i as u32), TrapId(j as u32), seg))
+            })
+            .expect("some segment carries two ports");
+        let junction = topo.segment(seg).ends()[0]
+            .junction()
+            .expect("quale segments end in junctions");
+        let plan = |resources: Vec<Resource>| {
+            let steps = vec![
+                Step::Move {
+                    to: Coord::new(0, 0)
+                };
+                resources.len()
+            ];
+            let exits = resources
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| (r, i))
+                .collect();
+            RoutePlan::from_steps(a, b, steps, exits, 1, 10, 0)
+        };
+        let conflicted = |r: Resource| r == Resource::Segment(seg);
+        let via = plan(vec![Resource::Segment(seg), Resource::Junction(junction)]);
+        assert!(!conflicts_only_on_ports(topo, &via, conflicted));
+        let direct = plan(vec![Resource::Segment(seg)]);
+        assert!(conflicts_only_on_ports(topo, &direct, conflicted));
+        // A plan crossing no conflict never blocks the rule.
+        assert!(conflicts_only_on_ports(topo, &via, |_| false));
+    }
+
+    /// A random regular spec fabric with junction and channel capacity
+    /// overrides on two overlapping quadrants (1 makes them bottlenecks,
+    /// larger values roomy), or `None` when the geometry is degenerate.
+    fn spec_fabric(
+        rows: u16,
+        cols: u16,
+        pitch: u16,
+        junction_cap: u8,
+        channel_cap: u8,
+    ) -> Option<Fabric> {
+        let doc = format!(
+            r#"{{
+                "name": "mixed",
+                "types": [
+                    {{"name": "j", "kind": "junction", "capacity": {junction_cap}}},
+                    {{"name": "c", "kind": "channel", "capacity": {channel_cap}}}
+                ],
+                "regions": [{{"family": "regular", "rows": {rows}, "cols": {cols}, "pitch": {pitch}}}],
+                "capacities": [
+                    {{"type": "j", "rect": [0, 0, {}, {}]}},
+                    {{"type": "c", "rect": [{}, 0, {}, {}]}}
+                ]
+            }}"#,
+            rows - 1,
+            cols / 2,
+            rows / 2,
+            rows - 1,
+            cols - 1,
+        );
+        qspr_fabric::FabricSpec::parse_json(&doc).ok()?.build().ok()
+    }
+
+    /// The router configuration under test: the QSPR or QUALE policy,
+    /// optionally squeezed to capacity 1 everywhere the spec does not
+    /// override.
+    fn policy_config(quale: bool, squeeze: bool) -> RouterConfig {
+        let tech = TechParams::date2012();
+        let base = if quale {
+            RouterConfig::quale(&tech)
+        } else {
+            RouterConfig::qspr(&tech)
+        };
+        if squeeze {
+            RouterConfig {
+                channel_capacity: 1,
+                junction_capacity: 1,
+                ..base
+            }
+        } else {
+            base
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The settled-round fast-forward is exact: on random spec
+        /// fabrics (capacity-1 and mixed-capacity quadrants) under both
+        /// policies, with booked load, seeded history and several
+        /// epochs in a row, negotiating with and without it leaves the
+        /// same plans (estimated costs included), epoch stats and
+        /// history. Batches mix random movers with meeting movers (a
+        /// shared target trap) and same-segment direct movers.
+        #[test]
+        fn fast_forward_equals_the_full_loop(
+            rows in 9u16..18,
+            cols in 9u16..18,
+            pitch in 3u16..6,
+            junction_cap in 1u8..4,
+            channel_cap in 1u8..4,
+            quale_flag in 0u8..2,
+            squeeze_flag in 0u8..2,
+            load in proptest::collection::vec((0usize..256, 0usize..256), 0..6),
+            batches in proptest::collection::vec(
+                (proptest::collection::vec((0usize..256, 0usize..256), 2..7), 0usize..256, 0usize..256),
+                1..4,
+            ),
+            seed_history in 0u32..4,
+        ) {
+            let Some(fabric) = spec_fabric(rows, cols, pitch, junction_cap, channel_cap) else {
+                return Ok(());
+            };
+            let topo = fabric.topology();
+            let config = policy_config(quale_flag == 1, squeeze_flag == 1);
+            let router = Router::new(topo, config);
+            let n = topo.traps().len();
+            let trap = |i: usize| TrapId((i % n) as u32);
+
+            let mut state = ResourceState::new(topo);
+            for (a, b) in load {
+                if let Some(plan) = router.route(&state, trap(a), trap(b)) {
+                    for u in plan.resources() {
+                        state.book(u.resource).unwrap();
+                    }
+                }
+            }
+
+            let seed: Vec<u32> = (0..topo.segments().len() as u32).map(|i| i % 3 * seed_history).collect();
+            let mut ff = NegotiatedRouter::new(topo, config).with_history_seed(&seed);
+            let mut full = NegotiatedRouter::new(topo, config).with_history_seed(&seed);
+            for (pairs, meet, same) in batches {
+                let mut requests: Vec<RouteRequest> =
+                    pairs.iter().map(|&(a, b)| RouteRequest::new(trap(a), trap(b))).collect();
+                // A meeting mover heads for the first mover's target.
+                requests.push(RouteRequest::new(trap(meet), requests[0].to));
+                // A same-segment mover walks to another port on its
+                // own segment, when the segment has one.
+                let from = trap(same);
+                let seg = topo.trap(from).port().segment;
+                if let Some(to) = (0..n)
+                    .map(trap)
+                    .find(|&t| t != from && topo.trap(t).port().segment == seg)
+                {
+                    requests.push(RouteRequest::new(from, to));
+                }
+                negotiate_both_ways(&mut ff, &mut full, &state, &requests);
+            }
+        }
+
+        /// The lower-bound gate's per-fabric answer equals the duration
+        /// of the empty-fabric route of a turn-aware, history-free
+        /// router, which it replaced, on random spec fabrics under both
+        /// policies.
+        #[test]
+        fn min_duration_equals_the_empty_fabric_route(
+            rows in 9u16..18,
+            cols in 9u16..18,
+            pitch in 3u16..6,
+            junction_cap in 1u8..4,
+            channel_cap in 1u8..4,
+            quale_flag in 0u8..2,
+            pairs in proptest::collection::vec((0usize..256, 0usize..256), 1..16),
+        ) {
+            let Some(fabric) = spec_fabric(rows, cols, pitch, junction_cap, channel_cap) else {
+                return Ok(());
+            };
+            let topo = fabric.topology();
+            let config = policy_config(quale_flag == 1, false);
+            let engine = NegotiatedRouter::new(topo, config);
+            let uncon = Router::new(
+                topo,
+                RouterConfig {
+                    turn_aware: true,
+                    history_cost: false,
+                    ..config
+                },
+            );
+            let empty = ResourceState::new(topo);
+            let n = topo.traps().len();
+            for (a, b) in pairs {
+                let (from, to) = (TrapId((a % n) as u32), TrapId((b % n) as u32));
+                let expected = uncon.route(&empty, from, to).map_or(0, |p| p.duration());
+                proptest::prop_assert_eq!(engine.min_duration(from, to), expected, "{} to {}", from, to);
             }
         }
     }

@@ -72,7 +72,12 @@
 //! iterations: epoch bookings, touched-resource sets and conflict
 //! marks all live in generation-stamped arrays, and each iteration
 //! re-routes only the movers that actually cross a conflicted
-//! resource.
+//! resource. A round in which every ripped mover got its path back and
+//! the remaining conflicts sit only on movers' own port segments ends
+//! the loop: later rounds provably return the same paths, so their
+//! history, stats and cost effects are applied without searching. The
+//! lower-bound gate in front of the negotiation reads the fabric's
+//! shared single-node distance rows ([`qspr_fabric::GoalFields::node_row`]).
 //!
 //! Routing is single-threaded. An epoch carries at most a couple of
 //! movers, far too little work to split across threads, so `--jobs`

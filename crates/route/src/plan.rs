@@ -158,6 +158,12 @@ impl RoutePlan {
         self.est_cost
     }
 
+    /// Raises the estimated cost by `delta` (saturating): the price
+    /// later negotiation rounds would have charged the same path.
+    pub(crate) fn add_est_cost(&mut self, delta: u64) {
+        self.est_cost = self.est_cost.saturating_add(delta);
+    }
+
     /// `true` when the qubit does not move at all.
     pub fn is_stationary(&self) -> bool {
         self.steps.is_empty()
